@@ -467,7 +467,10 @@ let bench_json ~quick () =
     let bad = prop.Property.bad in
     let depth = 5 in
     let a, _ = Rfn_core.Bmc.falsify ~limits circuit ~bad ~max_depth:depth in
-    let s, _ = Rfn_core.Sat_bmc.falsify ~limits circuit ~bad ~max_depth:depth in
+    let s, _ =
+      Rfn_core.Sat_bmc.(
+        falsify ~limits (unrolling circuit ~bad) ~max_depth:depth)
+    in
     match (a, s) with
     | Rfn_core.Bmc.Found ta, Rfn_core.Bmc.Found ts ->
       Trace.length ta = Trace.length ts

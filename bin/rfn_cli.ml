@@ -448,8 +448,9 @@ let bmc_cmd =
                   stats.Rfn_atpg.Atpg.backtracks )
           | `Sat ->
             let outcome, stats =
-              Rfn_core.Sat_bmc.falsify ~limits ?analysis circuit ~bad
-                ~max_depth:depth
+              Rfn_core.Sat_bmc.(
+                falsify ~limits (unrolling ?analysis circuit ~bad)
+                  ~max_depth:depth)
             in
             ( outcome,
               fun () ->

@@ -125,7 +125,9 @@ let concretize ?deadline ~policy ~engines ~limits circuit ~bad
         run =
           (fun () ->
             let outcome, _stats =
-              Sat_bmc.concretize ~limits circuit ~bad ~abstract_traces
+              Sat_bmc.concretize ~limits
+                (Sat_bmc.unrolling circuit ~bad)
+                ~abstract_traces
             in
             concretize_to_payload outcome);
       }
@@ -151,7 +153,8 @@ let falsify ?deadline ~policy ~engines ~limits circuit ~bad ~max_depth =
         run =
           (fun () ->
             let outcome, _stats =
-              Sat_bmc.falsify ~limits circuit ~bad ~max_depth
+              Sat_bmc.falsify ~limits (Sat_bmc.unrolling circuit ~bad)
+                ~max_depth
             in
             bmc_to_payload outcome);
       }

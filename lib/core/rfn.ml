@@ -166,6 +166,12 @@ let verify_in_session ?(config = default_config) session prop =
   in
   let bad = prop.Property.bad in
   let coi = Coi.compute circuit ~roots:(Property.roots prop) in
+  (* The SAT rungs' concrete unrolling: built by the first rung that
+     needs it, then only deepened, so the cone is encoded once per run
+     and learned clauses carry across iterations. It dies with this
+     call — a pooled session keeps none, since the pool bounds memory
+     by BDD nodes alone. *)
+  let sat_unrolling = lazy (Sat_bmc.unrolling ?analysis circuit ~bad) in
   let iterations = ref [] in
   let provenance = ref [] in
   let last_trace = ref None in
@@ -562,7 +568,7 @@ let verify_in_session ?(config = default_config) session prop =
               let outcome, _stats =
                 Sat_bmc.concretize
                   ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                  ?analysis circuit ~bad ~abstract_traces:guidance
+                  (Lazy.force sat_unrolling) ~abstract_traces:guidance
               in
               as_rung outcome
             in
@@ -698,7 +704,7 @@ let verify_in_session ?(config = default_config) session prop =
                 match
                   Sat_bmc.falsify
                     ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                    ?analysis circuit ~bad
+                    (Lazy.force sat_unrolling)
                     ~max_depth:(Trace.length abstract_trace)
                 with
                 | Bmc.Found t, _ -> Ok (`Cex t)

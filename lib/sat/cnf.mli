@@ -9,7 +9,11 @@
     [~free_init:true]). The encoding is {e monotone}: deepening only
     appends clauses, so one instance serves every BMC depth and every
     guided-concretization query, keeping its learned clauses — the
-    incremental formulation of Eén, Mishchenko & Amla. *)
+    incremental formulation of Eén, Mishchenko & Amla. In the CEGAR
+    loop that instance lives for one verification run: a
+    [Rfn_core.Sat_bmc.unrolling] built on the first SAT query and
+    extended by every later one, then dropped (never kept in a pooled
+    server session). *)
 
 type t
 

@@ -2,7 +2,15 @@
    but honest: two-watched-literal propagation, first-UIP learning,
    VSIDS activities with phase saving, Luby restarts, activity-driven
    learned-clause deletion, and incremental solving under assumptions
-   (Eén–Mishchenko–Amla's single-instance formulation). *)
+   (Eén–Mishchenko–Amla's single-instance formulation).
+
+   Clauses live in one flat [int array] arena, each laid out as
+   [size; flags; lit_0 .. lit_{size-1}] and named by the index of its
+   header (a "clause reference"). Watch lists, the learnt list and the
+   per-variable reasons hold these references, so an implication costs
+   no allocation. Learned-clause deletion only flags clauses removed;
+   the arena is compacted once removed clauses take more than half of
+   it. *)
 
 module Telemetry = Rfn_obs.Telemetry
 module F = Rfn_failure
@@ -12,6 +20,8 @@ let c_propagations = Telemetry.counter "sat.propagations"
 let c_learned = Telemetry.counter "sat.learned"
 let c_restarts = Telemetry.counter "sat.restarts"
 let c_solves = Telemetry.counter "sat.solves"
+let c_reductions = Telemetry.counter "sat.reduce_db"
+let c_compactions = Telemetry.counter "sat.compactions"
 
 (* per-solve conflict burst: the distribution tells bursty guided
    queries apart from a steadily hard instance *)
@@ -28,42 +38,29 @@ let neg l = l lxor 1
 let var_of l = l lsr 1
 let sign_of l = l land 1 = 0
 
-type clause = {
-  lits : int array;
-  mutable act : float;
-  learnt : bool;
-  mutable removed : bool;
-}
+(* ---- clause arena layout ---------------------------------------------
+   arena.(c) = size, arena.(c + 1) = flags, arena.(c + hdr + k) = lit k.
+   Flags: bit 0 learnt, bit 1 removed, bits 2.. the learnt clause's slot
+   in [learnts]/[acts]. *)
 
-(* Growable clause vectors for the watch lists and the learnt DB. *)
-module Cvec = struct
-  type t = { mutable data : clause array; mutable sz : int }
-
-  let dummy =
-    { lits = [||]; act = 0.0; learnt = false; removed = true }
-
-  let create () = { data = Array.make 4 dummy; sz = 0 }
-
-  let push v c =
-    if v.sz = Array.length v.data then begin
-      let data = Array.make (2 * v.sz) dummy in
-      Array.blit v.data 0 data 0 v.sz;
-      v.data <- data
-    end;
-    v.data.(v.sz) <- c;
-    v.sz <- v.sz + 1
-end
+let hdr = 2
+let learnt_bit = 1
+let removed_bit = 2
+let no_reason = -1
 
 type t = {
   (* per-variable state, grown by doubling *)
   mutable assigns : int array;  (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;  (* clause reference, [no_reason] if none *)
   mutable activity : float array;
   mutable polarity : bool array;  (* saved phase *)
   mutable seen : bool array;
   mutable model : int array;
-  mutable watches : Cvec.t array;  (* indexed by literal *)
+  (* per literal: clause references watching it, allocated on first
+     use ([||] until then), and the live prefix length *)
+  mutable watches : int array array;
+  mutable wsz : int array;
   mutable heap : int array;  (* max-activity heap of variables *)
   mutable hsz : int;
   mutable hindex : int array;  (* heap position per var, -1 if absent *)
@@ -75,7 +72,12 @@ type t = {
   mutable trail_lim_sz : int;
   mutable qhead : int;
   (* clause DB *)
-  learnts : Cvec.t;
+  mutable arena : int array;
+  mutable arena_sz : int;
+  mutable wasted : int;  (* arena words held by removed clauses *)
+  mutable learnts : int array;  (* live learnt clauses, by slot *)
+  mutable acts : float array;  (* their activities, by slot *)
+  mutable nlearnts : int;
   mutable nclauses : int;
   mutable max_learnts : float;
   mutable ok : bool;
@@ -115,12 +117,13 @@ let create ?(log_learnts = false) () =
   {
     assigns = Array.make 16 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 None;
+    reason = Array.make 16 no_reason;
     activity = Array.make 16 0.0;
     polarity = Array.make 16 false;
     seen = Array.make 16 false;
     model = Array.make 16 (-1);
-    watches = Array.init 32 (fun _ -> Cvec.create ());
+    watches = Array.make 32 [||];
+    wsz = Array.make 32 0;
     heap = Array.make 16 0;
     hsz = 0;
     hindex = Array.make 16 (-1);
@@ -130,7 +133,12 @@ let create ?(log_learnts = false) () =
     trail_lim = Array.make 16 0;
     trail_lim_sz = 0;
     qhead = 0;
-    learnts = Cvec.create ();
+    arena = Array.make 1024 0;
+    arena_sz = 0;
+    wasted = 0;
+    learnts = Array.make 16 0;
+    acts = Array.make 16 0.0;
+    nlearnts = 0;
     nclauses = 0;
     max_learnts = 2000.0;
     ok = true;
@@ -209,29 +217,28 @@ let heap_pop t =
 
 (* ---- variables -------------------------------------------------------- *)
 
+let grow a ncap fill =
+  let a' = Array.make ncap fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
 let grow_var_arrays t =
   let cap = Array.length t.assigns in
   if t.nvars = cap then begin
     let ncap = 2 * cap in
-    let grow a fill =
-      let a' = Array.make ncap fill in
-      Array.blit a 0 a' 0 cap;
-      a'
-    in
-    t.assigns <- grow t.assigns (-1);
-    t.level <- grow t.level 0;
-    t.reason <- grow t.reason None;
-    t.activity <- grow t.activity 0.0;
-    t.polarity <- grow t.polarity false;
-    t.seen <- grow t.seen false;
-    t.model <- grow t.model (-1);
-    t.heap <- grow t.heap 0;
-    t.hindex <- grow t.hindex (-1);
-    t.trail <- grow t.trail 0;
-    t.trail_lim <- grow t.trail_lim 0;
-    let w = Array.init (2 * ncap) (fun _ -> Cvec.create ()) in
-    Array.blit t.watches 0 w 0 (2 * cap);
-    t.watches <- w
+    t.assigns <- grow t.assigns ncap (-1);
+    t.level <- grow t.level ncap 0;
+    t.reason <- grow t.reason ncap no_reason;
+    t.activity <- grow t.activity ncap 0.0;
+    t.polarity <- grow t.polarity ncap false;
+    t.seen <- grow t.seen ncap false;
+    t.model <- grow t.model ncap (-1);
+    t.heap <- grow t.heap ncap 0;
+    t.hindex <- grow t.hindex ncap (-1);
+    t.trail <- grow t.trail ncap 0;
+    t.trail_lim <- grow t.trail_lim ncap 0;
+    t.watches <- grow t.watches (2 * ncap) [||];
+    t.wsz <- grow t.wsz (2 * ncap) 0
   end
 
 let new_var t =
@@ -274,7 +281,7 @@ let cancel_until t lvl =
       let v = l lsr 1 in
       t.polarity.(v) <- t.assigns.(v) = 1;
       t.assigns.(v) <- -1;
-      t.reason.(v) <- None;
+      t.reason.(v) <- no_reason;
       heap_insert t v
     done;
     t.trail_sz <- t.trail_lim.(lvl);
@@ -295,20 +302,40 @@ let var_bump t v =
   if t.hindex.(v) >= 0 then percolate_up t t.hindex.(v)
 
 let cla_bump t c =
-  c.act <- c.act +. t.cla_inc;
-  if c.act > 1e20 then begin
-    for i = 0 to t.learnts.Cvec.sz - 1 do
-      let d = t.learnts.Cvec.data.(i) in
-      d.act <- d.act *. 1e-20
+  let s = t.arena.(c + 1) lsr 2 in
+  t.acts.(s) <- t.acts.(s) +. t.cla_inc;
+  if t.acts.(s) > 1e20 then begin
+    for i = 0 to t.nlearnts - 1 do
+      t.acts.(i) <- t.acts.(i) *. 1e-20
     done;
     t.cla_inc <- t.cla_inc *. 1e-20
   end
 
 (* ---- clauses ---------------------------------------------------------- *)
 
+(* Append a clause to the arena; returns its reference. *)
+let alloc t lits flags =
+  let n = Array.length lits in
+  let top = t.arena_sz + hdr + n in
+  if top > Array.length t.arena then
+    t.arena <- grow t.arena (max top (Array.length t.arena * 3 / 2)) 0;
+  let c = t.arena_sz in
+  t.arena.(c) <- n;
+  t.arena.(c + 1) <- flags;
+  Array.blit lits 0 t.arena (c + hdr) n;
+  t.arena_sz <- top;
+  c
+
+let watch t l c =
+  let n = t.wsz.(l) in
+  if n = Array.length t.watches.(l) then
+    t.watches.(l) <- grow t.watches.(l) (max 4 (2 * n)) 0;
+  t.watches.(l).(n) <- c;
+  t.wsz.(l) <- n + 1
+
 let attach t c =
-  Cvec.push t.watches.(neg c.lits.(0)) c;
-  Cvec.push t.watches.(neg c.lits.(1)) c
+  watch t (neg t.arena.(c + hdr)) c;
+  watch t (neg t.arena.(c + hdr + 1)) c
 
 let add_clause t lits =
   List.iter (check_var t) lits;
@@ -323,91 +350,84 @@ let add_clause t lits =
     if not tautology then begin
       match List.filter (fun l -> lit_value t l <> 0) lits with
       | [] -> t.ok <- false
-      | [ l ] -> enqueue t l None
+      | [ l ] -> enqueue t l no_reason
       | lits ->
-        let c =
-          {
-            lits = Array.of_list lits;
-            act = 0.0;
-            learnt = false;
-            removed = false;
-          }
-        in
         t.nclauses <- t.nclauses + 1;
-        attach t c
+        attach t (alloc t (Array.of_list lits) 0)
     end
   end
 
-(* Every attached clause sits in exactly two watch lists,
-   [watches.(neg lits.(0))] and [watches.(neg lits.(1))]; emitting on
-   the first makes each clause appear once. *)
 let iter_clauses t f =
-  for p = 0 to Array.length t.watches - 1 do
-    let ws = t.watches.(p) in
-    for i = 0 to ws.Cvec.sz - 1 do
-      let c = ws.Cvec.data.(i) in
-      if (not c.removed) && neg c.lits.(0) = p then f c.lits
-    done
+  let a = t.arena in
+  let c = ref 0 in
+  while !c < t.arena_sz do
+    let n = a.(!c) in
+    if a.(!c + 1) land removed_bit = 0 then f (Array.sub a (!c + hdr) n);
+    c := !c + hdr + n
   done
 
 (* ---- propagation ------------------------------------------------------ *)
 
 let propagate t =
-  let confl = ref None in
-  while !confl = None && t.qhead < t.trail_sz do
+  let confl = ref no_reason in
+  let a = t.arena in
+  while !confl < 0 && t.qhead < t.trail_sz do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.n_propagations <- t.n_propagations + 1;
+    let np = neg p in
+    (* new watches never land on [p]'s own list (their literal is not
+       false), so [ws] stays this list's storage throughout *)
     let ws = t.watches.(p) in
-    let n = ws.Cvec.sz in
+    let n = t.wsz.(p) in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let c = ws.Cvec.data.(!i) in
+      let c = ws.(!i) in
       incr i;
-      if not c.removed then begin
-        let lits = c.lits in
+      if a.(c + 1) land removed_bit = 0 then begin
+        let w0 = c + hdr in
         (* put the falsified watch at position 1 *)
-        if lits.(0) = neg p then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- neg p
+        if a.(w0) = np then begin
+          a.(w0) <- a.(w0 + 1);
+          a.(w0 + 1) <- np
         end;
-        if lit_value t lits.(0) = 1 then begin
+        if lit_value t a.(w0) = 1 then begin
           (* satisfied by the other watch; keep watching *)
-          ws.Cvec.data.(!j) <- c;
+          ws.(!j) <- c;
           incr j
         end
         else begin
-          let len = Array.length lits in
-          let k = ref 2 in
-          while !k < len && lit_value t lits.(!k) = 0 do
+          let stop = w0 + a.(c) in
+          let k = ref (w0 + 2) in
+          while !k < stop && lit_value t a.(!k) = 0 do
             incr k
           done;
-          if !k < len then begin
+          if !k < stop then begin
             (* found a replacement watch *)
-            lits.(1) <- lits.(!k);
-            lits.(!k) <- neg p;
-            Cvec.push t.watches.(neg lits.(1)) c
+            a.(w0 + 1) <- a.(!k);
+            a.(!k) <- np;
+            watch t (neg a.(w0 + 1)) c
           end
           else begin
             (* unit or conflicting *)
-            ws.Cvec.data.(!j) <- c;
+            ws.(!j) <- c;
             incr j;
-            if lit_value t lits.(0) = 0 then begin
+            if lit_value t a.(w0) = 0 then begin
               (* conflict: keep the remaining watchers and stop *)
               while !i < n do
-                ws.Cvec.data.(!j) <- ws.Cvec.data.(!i);
+                ws.(!j) <- ws.(!i);
                 incr j;
                 incr i
               done;
               t.qhead <- t.trail_sz;
-              confl := Some c
+              confl := c
             end
-            else enqueue t lits.(0) (Some c)
+            else enqueue t a.(w0) c
           end
         end
       end
     done;
-    ws.Cvec.sz <- !j
+    t.wsz.(p) <- !j
   done;
   !confl
 
@@ -418,13 +438,15 @@ let analyze t confl =
   let path = ref 0 in
   let p = ref (-1) in
   let index = ref (t.trail_sz - 1) in
-  let confl = ref (Some confl) in
+  let confl = ref confl in
   let stop = ref false in
   while not !stop do
-    let c = match !confl with Some c -> c | None -> assert false in
-    if c.learnt then cla_bump t c;
-    for k = (if !p < 0 then 0 else 1) to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
+    let c = !confl in
+    assert (c >= 0);
+    let a = t.arena in
+    if a.(c + 1) land learnt_bit <> 0 then cla_bump t c;
+    for k = c + hdr + (if !p < 0 then 0 else 1) to c + hdr + a.(c) - 1 do
+      let q = a.(k) in
       let v = q lsr 1 in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         var_bump t v;
@@ -463,36 +485,105 @@ let record_learnt t learnt =
   if t.log_learnts then t.learnt_log <- Array.copy learnt :: t.learnt_log;
   if Array.length learnt = 1 then begin
     cancel_until t 0;
-    if lit_value t learnt.(0) = -1 then enqueue t learnt.(0) None
+    if lit_value t learnt.(0) = -1 then enqueue t learnt.(0) no_reason
     else if lit_value t learnt.(0) = 0 then t.ok <- false
   end
   else begin
-    let c = { lits = learnt; act = 0.0; learnt = true; removed = false } in
+    let s = t.nlearnts in
+    if s = Array.length t.learnts then begin
+      t.learnts <- grow t.learnts (2 * s) 0;
+      t.acts <- grow t.acts (2 * s) 0.0
+    end;
+    let c = alloc t learnt ((s lsl 2) lor learnt_bit) in
+    t.learnts.(s) <- c;
+    t.acts.(s) <- 0.0;
+    t.nlearnts <- s + 1;
     cla_bump t c;
     attach t c;
-    Cvec.push t.learnts c;
-    enqueue t learnt.(0) (Some c)
+    enqueue t learnt.(0) c
   end
 
 (* ---- learned-clause DB reduction -------------------------------------- *)
 
+(* A clause is locked while it is the reason of its first literal. *)
 let is_reason t c =
-  let v = c.lits.(0) lsr 1 in
-  t.assigns.(v) >= 0
-  && match t.reason.(v) with Some r -> r == c | None -> false
+  let v = t.arena.(c + hdr) lsr 1 in
+  t.assigns.(v) >= 0 && t.reason.(v) = c
 
+(* Copy the live clauses into a fresh arena and redirect every
+   reference: watch lists (dropping removed clauses), the reasons of
+   assigned variables (never removed: [reduce_db] keeps reasons) and
+   the learnt slots. The old arena's flags word carries each clause's
+   new reference while redirecting, -1 for removed ones. *)
+let compact t =
+  let old = t.arena in
+  let live = t.arena_sz - t.wasted in
+  let a = Array.make (max 1024 (live + (live / 2))) 0 in
+  let c = ref 0 and top = ref 0 in
+  while !c < t.arena_sz do
+    let n = old.(!c) in
+    if old.(!c + 1) land removed_bit = 0 then begin
+      Array.blit old !c a !top (hdr + n);
+      old.(!c + 1) <- !top;
+      top := !top + hdr + n
+    end
+    else old.(!c + 1) <- -1;
+    c := !c + hdr + n
+  done;
+  let moved c = old.(c + 1) in
+  for l = 0 to (2 * t.nvars) - 1 do
+    let ws = t.watches.(l) in
+    let j = ref 0 in
+    for i = 0 to t.wsz.(l) - 1 do
+      let c = moved ws.(i) in
+      if c >= 0 then begin
+        ws.(!j) <- c;
+        incr j
+      end
+    done;
+    t.wsz.(l) <- !j
+  done;
+  for i = 0 to t.trail_sz - 1 do
+    let v = t.trail.(i) lsr 1 in
+    if t.reason.(v) >= 0 then t.reason.(v) <- moved t.reason.(v)
+  done;
+  for s = 0 to t.nlearnts - 1 do
+    t.learnts.(s) <- moved t.learnts.(s)
+  done;
+  t.arena <- a;
+  t.arena_sz <- !top;
+  t.wasted <- 0;
+  Telemetry.incr c_compactions
+
+(* Drop the less active half of the learnt clauses (binary and locked
+   ones are kept); the survivors take slots 0.. in activity order. *)
 let reduce_db t =
-  let l = t.learnts in
-  let live = Array.sub l.Cvec.data 0 l.Cvec.sz in
-  Array.sort (fun a b -> compare a.act b.act) live;
-  let limit = Array.length live / 2 in
-  l.Cvec.sz <- 0;
+  let a = t.arena in
+  let n = t.nlearnts in
+  let order = Array.init n (fun s -> s) in
+  Array.sort (fun x y -> Float.compare t.acts.(x) t.acts.(y)) order;
+  let learnts = Array.make (Array.length t.learnts) 0 in
+  let acts = Array.make (Array.length t.acts) 0.0 in
+  let kept = ref 0 in
   Array.iteri
-    (fun i c ->
-      if i >= limit || Array.length c.lits <= 2 || is_reason t c then
-        Cvec.push l c
-      else c.removed <- true)
-    live
+    (fun i s ->
+      let c = t.learnts.(s) in
+      if i >= n / 2 || a.(c) <= 2 || is_reason t c then begin
+        learnts.(!kept) <- c;
+        acts.(!kept) <- t.acts.(s);
+        a.(c + 1) <- (!kept lsl 2) lor learnt_bit;
+        incr kept
+      end
+      else begin
+        a.(c + 1) <- a.(c + 1) lor removed_bit;
+        t.wasted <- t.wasted + hdr + a.(c)
+      end)
+    order;
+  t.learnts <- learnts;
+  t.acts <- acts;
+  t.nlearnts <- !kept;
+  Telemetry.incr c_reductions;
+  if 2 * t.wasted > t.arena_sz then compact t
 
 (* ---- Luby restart sequence -------------------------------------------- *)
 
@@ -528,7 +619,7 @@ let solve ?(limits = no_limits) ?(assumptions = []) t =
     Telemetry.add c_learned (t.n_learned - l0);
     Telemetry.add c_restarts (t.n_restarts - r0);
     Telemetry.observe h_burst (float_of_int (t.n_conflicts - c0));
-    Telemetry.record g_clause_db (t.nclauses + t.learnts.Cvec.sz);
+    Telemetry.record g_clause_db (t.nclauses + t.nlearnts);
     result
   in
   if not t.ok then finish Unsat
@@ -543,8 +634,8 @@ let solve ?(limits = no_limits) ?(assumptions = []) t =
     let restart_limit = ref (100 * luby 0) in
     let result = ref None in
     while !result = None do
-      match propagate t with
-      | Some confl ->
+      let confl = propagate t in
+      if confl >= 0 then begin
         t.n_conflicts <- t.n_conflicts + 1;
         incr conflict_c;
         if decision_level t = 0 then begin
@@ -562,52 +653,51 @@ let solve ?(limits = no_limits) ?(assumptions = []) t =
           else if !conflict_c land 127 = 0 && out_of_time () then
             result := Some (Unknown F.Time)
         end
-      | None ->
-        if !conflict_c >= !restart_limit then begin
-          t.n_restarts <- t.n_restarts + 1;
-          conflict_c := 0;
-          restart_limit := 100 * luby (t.n_restarts - r0);
-          cancel_until t 0
-        end
-        else if
-          float (t.learnts.Cvec.sz - (t.trail_sz - t.qhead))
-          >= t.max_learnts
-        then begin
-          reduce_db t;
-          t.max_learnts <- t.max_learnts *. 1.1
-        end
-        else if decision_level t < Array.length assumptions then begin
-          (* place the next assumption as a decision *)
-          let p = assumptions.(decision_level t) in
-          match lit_value t p with
-          | 1 -> new_decision_level t (* already holds: dummy level *)
-          | 0 -> result := Some Unsat
-          | _ ->
-            new_decision_level t;
-            enqueue t p None
-        end
+      end
+      else if !conflict_c >= !restart_limit then begin
+        t.n_restarts <- t.n_restarts + 1;
+        conflict_c := 0;
+        restart_limit := 100 * luby (t.n_restarts - r0);
+        cancel_until t 0
+      end
+      else if
+        float (t.nlearnts - (t.trail_sz - t.qhead)) >= t.max_learnts
+      then begin
+        reduce_db t;
+        t.max_learnts <- t.max_learnts *. 1.1
+      end
+      else if decision_level t < Array.length assumptions then begin
+        (* place the next assumption as a decision *)
+        let p = assumptions.(decision_level t) in
+        match lit_value t p with
+        | 1 -> new_decision_level t (* already holds: dummy level *)
+        | 0 -> result := Some Unsat
+        | _ ->
+          new_decision_level t;
+          enqueue t p no_reason
+      end
+      else begin
+        t.n_decisions <- t.n_decisions + 1;
+        if t.n_decisions land 255 = 0 && out_of_time () then
+          result := Some (Unknown F.Time)
         else begin
-          t.n_decisions <- t.n_decisions + 1;
-          if t.n_decisions land 255 = 0 && out_of_time () then
-            result := Some (Unknown F.Time)
+          (* VSIDS decision with saved phase *)
+          let v = ref (-1) in
+          while !v < 0 && t.hsz > 0 do
+            let x = heap_pop t in
+            if t.assigns.(x) < 0 then v := x
+          done;
+          if !v < 0 then begin
+            (* full model *)
+            Array.blit t.assigns 0 t.model 0 t.nvars;
+            result := Some Sat
+          end
           else begin
-            (* VSIDS decision with saved phase *)
-            let v = ref (-1) in
-            while !v < 0 && t.hsz > 0 do
-              let x = heap_pop t in
-              if t.assigns.(x) < 0 then v := x
-            done;
-            if !v < 0 then begin
-              (* full model *)
-              Array.blit t.assigns 0 t.model 0 t.nvars;
-              result := Some Sat
-            end
-            else begin
-              new_decision_level t;
-              enqueue t (lit !v t.polarity.(!v)) None
-            end
+            new_decision_level t;
+            enqueue t (lit !v t.polarity.(!v)) no_reason
           end
         end
+      end
     done;
     finish (match !result with Some r -> r | None -> assert false)
   end

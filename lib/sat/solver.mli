@@ -13,7 +13,18 @@
     formulation of Eén, Mishchenko & Amla: a BMC unrolling adds frame
     [k+1]'s clauses on top of the instance that already solved depth
     [k], keeps every learned clause, and re-targets the bad state with
-    one assumption literal — nothing is ever re-encoded. *)
+    one assumption literal — nothing is ever re-encoded. The CEGAR loop
+    keeps one instance for a whole verification run, across all its
+    Step-3 queries and BMC re-checks.
+
+    Since such an instance stays alive for a run, its clauses are
+    stored flat: one growable [int array] arena holding each clause as
+    [size; flags; lits…], integer clause references in the watch lists
+    (allocated per literal on first use), the learnt list and the
+    implication reasons, and learnt activities in a [float array].
+    Learned-clause deletion only flags clauses; the arena is compacted
+    after a deletion round once removed clauses take more than half of
+    it ([sat.reduce_db] and [sat.compactions] telemetry counters). *)
 
 type t
 
@@ -78,12 +89,13 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Lifetime totals for this instance. *)
+(** Lifetime totals for this instance; subtract an earlier snapshot
+    for one call's share. *)
 
 val iter_clauses : t -> (lit array -> unit) -> unit
 (** Iterate every clause currently attached to the instance — original
-    and live learned clauses — each exactly once. The array is the
-    solver's own storage: do not mutate or retain it. Top-level unit
+    and live learned clauses — each exactly once, as a fresh copy of
+    its literals in the solver's current order. Top-level unit
     clauses are not included (they live in the trail, not the clause
     database). Exposed for the [RFN_CHECK] invariant checker. *)
 

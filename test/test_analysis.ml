@@ -411,9 +411,13 @@ let test_sat_bmc_with_invariants () =
     (fun (name, circuit, out) ->
       let bad = Circuit.output circuit out in
       let a = Analysis.run circuit in
-      let plain, _ = Sat_bmc.falsify circuit ~bad ~max_depth:10 in
+      let plain, _ =
+        Sat_bmc.falsify (Sat_bmc.unrolling circuit ~bad) ~max_depth:10
+      in
       let with_inv, _ =
-        Sat_bmc.falsify ~analysis:a circuit ~bad ~max_depth:10
+        Sat_bmc.falsify
+          (Sat_bmc.unrolling ~analysis:a circuit ~bad)
+          ~max_depth:10
       in
       match (plain, with_inv) with
       | Bmc.Found t0, Bmc.Found t1 ->

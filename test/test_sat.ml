@@ -123,6 +123,233 @@ let test_learned_clauses_entailed () =
            (Solver.learnt_clauses s)))
 
 (* ------------------------------------------------------------------ *)
+(* One instance, many queries                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Random sequences of add-clause batches and solves under assumptions
+   on ONE instance, as the CEGAR loop drives its shared unrolling. The
+   brute-forced part is a planted random CNF over [nrand] variables, so
+   it stays satisfiable and the instance never dies. Beside it, guarded
+   pigeonhole blocks [g -> PHP(n+1, n)] over fresh variables supply the
+   thousands of conflicts that make learned-clause deletion and arena
+   compaction run. Their effect on a query is known exactly: assuming a
+   block's guard is unsatisfiable, otherwise the block is satisfied by
+   its guard being false. *)
+let nrand = 12
+
+type step = {
+  batch : (int * bool) list list;  (* random clauses over [0, nrand) *)
+  block : int option;  (* add a guarded PHP(n+1, n) with this n *)
+  assume : (int * bool) list;  (* random-part assumptions *)
+  guard : int option;  (* also assume the guard of block (this mod #blocks) *)
+}
+
+let holds m (v, b) = (m lsr v) land 1 = 1 = b
+
+let sequence_gen =
+  QCheck.Gen.(
+    int_bound ((1 lsl nrand) - 1) >>= fun planted ->
+    let lit_gen = pair (int_bound (nrand - 1)) bool in
+    let clause_gen =
+      int_range 3 5 >>= fun n ->
+      list_size (return n) lit_gen >|= fun cl ->
+      if List.exists (holds planted) cl then cl
+      else
+        (* flip one literal so the planted model satisfies the clause *)
+        match cl with (v, b) :: rest -> (v, not b) :: rest | [] -> []
+    in
+    let step_gen =
+      list_size (int_bound 3) clause_gen >>= fun batch ->
+      frequency [ (6, return None); (4, map Option.some (int_range 5 6)) ]
+      >>= fun block ->
+      list_size (int_bound 3) lit_gen >>= fun assume ->
+      frequency [ (3, return None); (2, map Option.some nat) ] >>= fun guard ->
+      return { batch; block; assume; guard }
+    in
+    list_size (int_range 20 40) step_gen)
+
+let sequence_print steps =
+  Printf.sprintf "%d steps, %d blocks" (List.length steps)
+    (List.length (List.filter (fun st -> st.block <> None) steps))
+
+let fail fmt = QCheck.Test.fail_reportf fmt
+
+(* Runs one sequence; raises through [fail] on the first discrepancy. *)
+let run_sequence steps =
+  let s = Solver.create ~log_learnts:true () in
+  for _ = 1 to nrand do
+    ignore (Solver.new_var s)
+  done;
+  let rlit (v, b) = Solver.lit v b in
+  (* models of the random part accumulated so far *)
+  let models = ref (List.init (1 lsl nrand) Fun.id) in
+  let guards = ref [] in
+  let is_guard_neg l =
+    (not (Solver.sign_of l)) && List.mem (Solver.var_of l) !guards
+  in
+  let rand_holds m l =
+    Solver.var_of l < nrand && holds m (Solver.var_of l, Solver.sign_of l)
+  in
+  (* literals every model of the accumulated formula satisfies: random
+     ones by brute force, and every guard's negation (its block alone
+     is unsatisfiable) *)
+  let entailed l =
+    if Solver.var_of l < nrand then
+      List.for_all (fun m -> rand_holds m l) !models
+    else is_guard_neg l
+  in
+  (* originals, sorted; [exact] ones were added over unassigned fresh
+     variables, so top-level simplification cannot have touched them *)
+  let originals = ref [] in
+  let add ~exact lits =
+    Solver.add_clause s lits;
+    originals := (List.sort_uniq compare lits, exact) :: !originals
+  in
+  let add_block n =
+    let g = Solver.new_var s in
+    let x =
+      Array.init (n + 1) (fun _ -> Array.init n (fun _ -> Solver.new_var s))
+    in
+    let ng = Solver.lit g false in
+    for p = 0 to n do
+      add ~exact:true (ng :: List.init n (fun h -> Solver.lit x.(p).(h) true))
+    done;
+    for h = 0 to n - 1 do
+      for p1 = 0 to n do
+        for p2 = p1 + 1 to n do
+          add ~exact:true
+            [ ng; Solver.lit x.(p1).(h) false; Solver.lit x.(p2).(h) false ]
+        done
+      done
+    done;
+    guards := !guards @ [ g ]
+  in
+  let learnts_checked = ref 0 in
+  let check_learnts () =
+    (* DRAT-in-spirit over the whole sequence: each clause learned
+       since the last query is entailed by the formula as it stands —
+       it names a guard's negation, or its random part alone holds in
+       every model of the random clauses *)
+    let all = Solver.learnt_clauses s in
+    List.iteri
+      (fun i c ->
+        if i >= !learnts_checked then
+          if
+            not
+              (List.exists is_guard_neg c
+              || List.for_all (fun m -> List.exists (rand_holds m) c) !models)
+          then fail "learned clause %d is not entailed" i)
+      all;
+    learnts_checked := List.length all;
+    all
+  in
+  let check_clause_db learnts =
+    (* iter_clauses yields every live clause exactly once: exact
+       originals verbatim, the rest accounted for by a learned clause
+       or by an original shortened by top-level simplification (only
+       entailed-false literals dropped) *)
+    let key c = List.sort compare c in
+    let yielded = Hashtbl.create 64 in
+    let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+    let bump tbl k d = Hashtbl.replace tbl k (count tbl k + d) in
+    Solver.iter_clauses s (fun a -> bump yielded (key (Array.to_list a)) 1);
+    List.iter
+      (fun (o, exact) ->
+        if exact then begin
+          if count yielded o = 0 then
+            fail "original clause lost from the clause DB";
+          bump yielded o (-1)
+        end)
+      !originals;
+    let learnt_count = Hashtbl.create 64 in
+    List.iter (fun c -> bump learnt_count (key c) 1) learnts;
+    let shortened y o =
+      List.for_all (fun l -> List.mem l o) y
+      && List.for_all (fun l -> List.mem l y || entailed (Solver.neg l)) o
+    in
+    Hashtbl.iter
+      (fun y n ->
+        if n > count learnt_count y then begin
+          let sources =
+            count learnt_count y
+            + List.length
+                (List.filter
+                   (fun (o, exact) -> (not exact) && shortened y o)
+                   !originals)
+          in
+          if n > sources then
+            fail "clause yielded %d times, %d sources" n sources
+        end)
+      yielded;
+    List.iter
+      (fun (o, exact) ->
+        let tautology = List.exists (fun l -> List.mem (Solver.neg l) o) o in
+        if
+          (not exact) && (not tautology)
+          && (not (List.exists entailed o))
+          && not
+               (Hashtbl.fold
+                  (fun y n found -> found || (n > 0 && shortened y o))
+                  yielded false)
+        then fail "random original clause lost from the clause DB")
+      !originals
+  in
+  List.iteri
+    (fun i st ->
+      List.iter
+        (fun cl ->
+          add ~exact:false (List.map rlit cl);
+          models := List.filter (fun m -> List.exists (holds m) cl) !models)
+        st.batch;
+      Option.iter add_block st.block;
+      let guard =
+        match (st.guard, !guards) with
+        | Some k, (_ :: _ as gs) -> Some (List.nth gs (k mod List.length gs))
+        | _ -> None
+      in
+      let assumptions =
+        List.map rlit st.assume
+        @ Option.to_list (Option.map (fun g -> Solver.lit g true) guard)
+      in
+      let expected =
+        guard = None
+        && List.exists (fun m -> List.for_all (holds m) st.assume) !models
+      in
+      (match Solver.solve ~assumptions s with
+      | Solver.Sat ->
+        if not expected then fail "step %d: Sat, brute force says Unsat" i;
+        if
+          not
+            (List.for_all (Solver.value_lit s) assumptions
+            && List.for_all
+                 (fun (o, _) -> List.exists (Solver.value_lit s) o)
+                 !originals)
+        then fail "step %d: model violates the formula" i
+      | Solver.Unsat ->
+        if expected then fail "step %d: Unsat, brute force says Sat" i
+      | Solver.Unknown _ -> fail "step %d: Unknown without budget" i);
+      check_clause_db (check_learnts ()))
+    steps;
+  true
+
+let test_incremental_differential () =
+  let c_reduce = Rfn_obs.Telemetry.counter "sat.reduce_db" in
+  let c_compact = Rfn_obs.Telemetry.counter "sat.compactions" in
+  let r0 = Rfn_obs.Telemetry.counter_value c_reduce
+  and k0 = Rfn_obs.Telemetry.counter_value c_compact in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:8 ~name:"one instance agrees with brute force"
+       (QCheck.make sequence_gen ~print:sequence_print)
+       run_sequence);
+  (* the sizing must actually exercise deletion and compaction *)
+  Alcotest.(check bool)
+    "learned-clause deletion ran" true
+    (Rfn_obs.Telemetry.counter_value c_reduce > r0);
+  Alcotest.(check bool)
+    "arena compaction ran" true
+    (Rfn_obs.Telemetry.counter_value c_compact > k0)
+
+(* ------------------------------------------------------------------ *)
 (* Incremental interface                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -227,7 +454,9 @@ let test_bmc_differential () =
       let bad = Circuit.output circuit out in
       let max_depth = 12 in
       let atpg, _ = Bmc.falsify circuit ~bad ~max_depth in
-      let sat, _ = Sat_bmc.falsify circuit ~bad ~max_depth in
+      let sat, _ =
+        Sat_bmc.falsify (Sat_bmc.unrolling circuit ~bad) ~max_depth
+      in
       match (atpg, sat) with
       | Bmc.Found ta, Bmc.Found ts ->
         (* both engines promise shortest counterexamples *)
@@ -273,7 +502,10 @@ let test_sat_guided_concretize () =
   let bad = Circuit.output circuit "at_limit" in
   match Bmc.falsify circuit ~bad ~max_depth:12 with
   | Bmc.Found witness, _ -> (
-    (match Sat_bmc.concretize circuit ~bad ~abstract_traces:[ witness ] with
+    (* both queries run on one unrolling, as in the CEGAR loop *)
+    let u = Sat_bmc.unrolling circuit ~bad in
+    let concretize traces = Sat_bmc.concretize u ~abstract_traces:traces in
+    (match concretize [ witness ] with
     | Concretize.Found t, _ ->
       Alcotest.(check bool)
         "concretized trace replays" true
@@ -291,13 +523,41 @@ let test_sat_guided_concretize () =
       Array.make (Trace.length witness) (Cube.of_list [])
     in
     let contradiction = Trace.make ~states ~inputs in
-    match Sat_bmc.concretize circuit ~bad ~abstract_traces:[ contradiction ]
-    with
+    match concretize [ contradiction ] with
     | Concretize.Not_found_here, _ -> ()
     | Concretize.Found _, _ ->
       Alcotest.fail "guided SAT satisfied contradictory guidance"
     | Concretize.Gave_up r, _ ->
       Alcotest.failf "guided SAT gave up: %s" (F.resource_to_string r))
+  | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
+
+let test_per_call_stats () =
+  (* Two concretizations on one unrolling: each reports its own work —
+     exactly what the solver's telemetry counters moved by during that
+     call — not the instance's running totals. *)
+  let circuit = Helpers.counter_design ~width:3 ~limit:7 in
+  let bad = Circuit.output circuit "at_limit" in
+  match Bmc.falsify circuit ~bad ~max_depth:12 with
+  | Bmc.Found witness, _ ->
+    let u = Sat_bmc.unrolling circuit ~bad in
+    let conflicts = Rfn_obs.Telemetry.counter "sat.conflicts" in
+    let propagations = Rfn_obs.Telemetry.counter "sat.propagations" in
+    let call name =
+      let value = Rfn_obs.Telemetry.counter_value in
+      let c0 = value conflicts and p0 = value propagations in
+      let _, st = Sat_bmc.concretize u ~abstract_traces:[ witness ] in
+      Alcotest.(check int)
+        (name ^ ": its own conflicts")
+        (value conflicts - c0) st.Solver.conflicts;
+      Alcotest.(check int)
+        (name ^ ": its own propagations")
+        (value propagations - p0) st.Solver.propagations;
+      st
+    in
+    let first = call "first call" in
+    Alcotest.(check bool)
+      "first call propagated" true (first.Solver.propagations > 0);
+    ignore (call "second call")
   | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
 
 (* ------------------------------------------------------------------ *)
@@ -373,6 +633,79 @@ let test_engine_modes_chaos () =
       ("fifo_small/psh_full+chaos", fc, fifo.Rfn_designs.Fifo.psh_full);
     ]
 
+let test_unrolling_encoded_once () =
+  (* Sat_only and Portfolio against the ATPG engine on the zoo: same
+     verdicts, counterexamples that replay with the same length — and
+     the run encodes the concrete cone once: sat.frames_encoded over one
+     Rfn.verify is the deepest SAT query's depth, not the sum over the
+     iterations that reached Step 3. *)
+  let frames_encoded = Rfn_obs.Telemetry.counter "sat.frames_encoded" in
+  let run engines circuit prop =
+    (* in-process rungs only: a forked worker's encoding is not
+       counted in this process *)
+    let config =
+      {
+        (quick_config ~engines ()) with
+        Rfn.proc = Rfn_proc.Proc.default_policy;
+      }
+    in
+    let f0 = Rfn_obs.Telemetry.counter_value frames_encoded in
+    let outcome, stats = Rfn.verify ~config circuit prop in
+    (outcome, stats, Rfn_obs.Telemetry.counter_value frames_encoded - f0)
+  in
+  let show = function
+    | Rfn.Proved -> "proved"
+    | Rfn.Falsified t -> Printf.sprintf "falsified(%d)" (Trace.length t)
+    | Rfn.Aborted f -> "aborted: " ^ F.to_string f
+  in
+  let repeated_queries = ref 0 in
+  List.iter
+    (fun (name, circuit, out) ->
+      let prop = Property.of_output circuit out in
+      let reference, _, _ = run Rfn.Atpg_only circuit prop in
+      List.iter
+        (fun engines ->
+          let label = name ^ "/" ^ Rfn.engines_to_string engines in
+          let outcome, stats, encoded = run engines circuit prop in
+          (* same verdict and, when falsified, same counterexample
+             length *)
+          Alcotest.(check string) (label ^ ": matches atpg") (show reference)
+            (show outcome);
+          (match outcome with
+          | Rfn.Falsified t ->
+            Alcotest.(check bool)
+              (label ^ ": trace replays") true
+              (Sim3v.replay_concrete circuit t ~bad:prop.Property.bad)
+          | _ -> ());
+          let depths =
+            List.filter_map
+              (fun (p : Rfn_obs.Provenance.t) ->
+                match p.Rfn_obs.Provenance.trace_depth with
+                | Some d when p.Rfn_obs.Provenance.concretize <> "none" ->
+                  Some d
+                | _ -> None)
+              stats.Rfn.provenance
+          in
+          let deepest = List.fold_left max 0 depths in
+          match engines with
+          | Rfn.Sat_only ->
+            (* every Step-3 query runs on SAT here *)
+            Alcotest.(check int)
+              (label ^ ": frames encoded = deepest query")
+              deepest encoded;
+            if List.fold_left ( + ) 0 depths > deepest then
+              incr repeated_queries
+          | _ ->
+            (* SAT backs ATPG up, so it may not run at all *)
+            Alcotest.(check bool)
+              (label ^ ": frames encoded <= deepest query")
+              true (encoded <= deepest))
+        [ Rfn.Sat_only; Rfn.Portfolio ])
+    (zoo ());
+  (* the zoo must hold a run where re-encoding would show *)
+  Alcotest.(check bool)
+    "some SAT run made several Step-3 queries" true (!repeated_queries > 0)
+
 let test_engines_of_string () =
   List.iter
     (fun e ->
@@ -397,6 +730,8 @@ let () =
             test_random_cnf_differential;
           Alcotest.test_case "learned clauses entailed" `Quick
             test_learned_clauses_entailed;
+          Alcotest.test_case "incremental differential on one instance" `Quick
+            test_incremental_differential;
           Alcotest.test_case "assumptions and incrementality" `Quick
             test_assumptions;
           Alcotest.test_case "contradictory units" `Quick test_empty_clause;
@@ -408,6 +743,8 @@ let () =
             test_bmc_differential;
           Alcotest.test_case "guided concretization" `Quick
             test_sat_guided_concretize;
+          Alcotest.test_case "per-call stats on a shared unrolling" `Quick
+            test_per_call_stats;
         ] );
       ( "engines",
         [
@@ -415,6 +752,8 @@ let () =
             test_engine_modes_zoo;
           Alcotest.test_case "engine modes under chaos" `Quick
             test_engine_modes_chaos;
+          Alcotest.test_case "one unrolling per run" `Quick
+            test_unrolling_encoded_once;
           Alcotest.test_case "selection parsing" `Quick test_engines_of_string;
         ] );
     ]
