@@ -395,7 +395,7 @@ let analysis_phase () =
       | Rfn.Falsified _ -> "F"
       | Rfn.Aborted why -> "abort: " ^ Rfn_failure.to_string why
     in
-    (result, List.length stats.Rfn.iterations, Telemetry.gauge_peak g_nodes)
+    (result, List.length stats.Rfn.provenance, Telemetry.gauge_peak g_nodes)
   in
   let r_off, it_off, nodes_off = run false in
   let r_on, it_on, nodes_on = run true in
@@ -528,7 +528,7 @@ let bench_json ~quick () =
         in
         Format.printf "  %-28s %-6s %6.2fs  %d iteration(s)@." name result
           stats.Rfn.seconds
-          (List.length stats.Rfn.iterations);
+          (List.length stats.Rfn.provenance);
         cold :=
           ( name,
             result,
@@ -540,7 +540,7 @@ let bench_json ~quick () =
             ("name", Json.Str name);
             ("result", Json.Str result);
             ("seconds", Json.Float stats.Rfn.seconds);
-            ("iterations", Json.Int (List.length stats.Rfn.iterations));
+            ("iterations", Json.Int (List.length stats.Rfn.provenance));
             ("coi_regs", Json.Int stats.Rfn.coi_regs);
             ("abstract_regs", Json.Int stats.Rfn.final_abstract_regs);
             ("peak_bdd_nodes", Json.Int (Telemetry.gauge_peak g_nodes));

@@ -268,7 +268,7 @@ let verify_cmd =
           "COI: %d registers, %d gates; %d iteration(s); final abstract \
            model: %d registers; %.2fs@."
           stats.Rfn.coi_regs stats.Rfn.coi_gates
-          (List.length stats.Rfn.iterations)
+          (List.length stats.Rfn.provenance - stats.Rfn.resumed_iterations)
           stats.Rfn.final_abstract_regs stats.Rfn.seconds;
         if stats.Rfn.resumed_iterations > 0 then
           Format.printf "resumed past %d checkpointed iteration(s)@."

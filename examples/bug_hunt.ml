@@ -36,7 +36,7 @@ let () =
       "Final abstract model: %d registers (of a %d-register COI), %d \
        refinement iterations.@."
       stats.Rfn.final_abstract_regs stats.Rfn.coi_regs
-      (List.length stats.Rfn.iterations);
+      (List.length stats.Rfn.provenance);
     assert (Sim3v.replay_concrete circuit trace ~bad);
     Format.printf "Trace validated by concrete replay.@.@.";
     (* the guidance ablation: how far does unguided sequential ATPG

@@ -8,6 +8,7 @@
 
 open Rfn_circuit
 module Rfn = Rfn_core.Rfn
+module Provenance = Rfn_obs.Provenance
 
 let () =
   let fifo = Rfn_designs.Fifo.make () in
@@ -21,19 +22,19 @@ let () =
       (match Rfn.verify circuit prop with
       | Rfn.Proved, stats ->
         Format.printf "  RFN: True in %.2fs@." stats.Rfn.seconds;
-        List.iteri
-          (fun i (it : Rfn.iteration) ->
+        List.iter
+          (fun (p : Provenance.t) ->
             Format.printf
               "    iteration %d: %d registers, %d free inputs, fixpoint %d \
                steps%s@."
-              (i + 1) it.Rfn.abstract_regs it.Rfn.model_inputs
-              it.Rfn.fixpoint_steps
-              (match it.Rfn.trace_length with
+              p.iter p.regs_before p.model_inputs p.fixpoint_steps
+              (match p.trace_depth with
               | Some l ->
-                Printf.sprintf ", abstract trace of %d cycles (%d candidates, %d added)"
-                  (l - 1) it.Rfn.candidates it.Rfn.added
+                Printf.sprintf
+                  ", abstract trace of %d cycles (%d candidates, %d added)"
+                  (l - 1) p.candidates (List.length p.promoted)
               | None -> ""))
-          stats.Rfn.iterations
+          stats.Rfn.provenance
       | Rfn.Falsified _, _ -> Format.printf "  RFN: False (unexpected!)@."
       | Rfn.Aborted why, _ ->
         Format.printf "  RFN: aborted (%s)@." (Rfn_failure.to_string why));

@@ -30,7 +30,7 @@ let () =
     Format.printf
       "PROVED: grants are mutually exclusive.@.  %d iteration(s), final \
        abstract model: %d of %d registers, %.3fs@."
-      (List.length stats.Rfn.iterations)
+      (List.length stats.Rfn.provenance)
       stats.Rfn.final_abstract_regs stats.Rfn.coi_regs stats.Rfn.seconds
   | Rfn.Falsified trace, _ ->
     Format.printf "FALSIFIED:@.%a@."

@@ -106,60 +106,18 @@ let settle ~decode = function
       Error F.Worker_garbage)
   | Proc.All_failed failures -> Error (first_failure_resource failures)
 
-let concretize ?deadline ~policy ~engines ~limits circuit ~bad
-    ~abstract_traces =
-  let entrant = function
-    | `Atpg ->
-      {
-        Proc.name = "atpg";
-        run =
-          (fun () ->
-            let outcome, _stats =
-              Concretize.guided_any ~limits circuit ~bad ~abstract_traces
-            in
-            concretize_to_payload outcome);
-      }
-    | `Sat ->
-      {
-        Proc.name = "sat";
-        run =
-          (fun () ->
-            let outcome, _stats =
-              Sat_bmc.concretize ~limits
-                (Sat_bmc.unrolling circuit ~bad)
-                ~abstract_traces
-            in
-            concretize_to_payload outcome);
-      }
-  in
-  settle ~decode:concretize_of_payload
-    (Proc.race ?deadline ~policy
-       ~classify:(classify_concretize circuit ~bad)
-       (List.map entrant engines))
+let race ~to_payload ~decode ~classify ?deadline ~policy entrants =
+  settle ~decode
+    (Proc.race ?deadline ~policy ~classify
+       (List.map
+          (fun (name, run) ->
+            { Proc.name; run = (fun () -> to_payload (run ())) })
+          entrants))
 
-let falsify ?deadline ~policy ~engines ~limits circuit ~bad ~max_depth =
-  let entrant = function
-    | `Bmc ->
-      {
-        Proc.name = "bmc";
-        run =
-          (fun () ->
-            let outcome, _stats = Bmc.falsify ~limits circuit ~bad ~max_depth in
-            bmc_to_payload outcome);
-      }
-    | `Sat ->
-      {
-        Proc.name = "sat";
-        run =
-          (fun () ->
-            let outcome, _stats =
-              Sat_bmc.falsify ~limits (Sat_bmc.unrolling circuit ~bad)
-                ~max_depth
-            in
-            bmc_to_payload outcome);
-      }
-  in
-  settle ~decode:bmc_of_payload
-    (Proc.race ?deadline ~policy
-       ~classify:(classify_bmc circuit ~bad)
-       (List.map entrant engines))
+let concretize ?deadline ~policy circuit ~bad entrants =
+  race ~to_payload:concretize_to_payload ~decode:concretize_of_payload
+    ~classify:(classify_concretize circuit ~bad) ?deadline ~policy entrants
+
+let falsify ?deadline ~policy circuit ~bad entrants =
+  race ~to_payload:bmc_to_payload ~decode:bmc_of_payload
+    ~classify:(classify_bmc circuit ~bad) ?deadline ~policy entrants

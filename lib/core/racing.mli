@@ -21,30 +21,28 @@
 val concretize :
   ?deadline:float ->
   policy:Rfn_proc.Proc.policy ->
-  engines:[ `Atpg | `Sat ] list ->
-  limits:Rfn_atpg.Atpg.limits ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
-  abstract_traces:Rfn_circuit.Trace.t list ->
+  (string * (unit -> Concretize.outcome)) list ->
   (Concretize.outcome, Rfn_failure.resource) result
-(** Race guided concretization (Step 3). [Found] and [Not_found_here]
-    are conclusive and win; a race where every entrant gave up yields
+(** Race guided concretization (Step 3): each named entrant runs in its
+    own worker, so it must build whatever per-run state it needs (a SAT
+    unrolling) inside its thunk. [Found] and [Not_found_here] are
+    conclusive and win; a race where every entrant gave up yields
     [Ok (Gave_up _)] (the first give-up received) so the caller's
     escalation logic sees the same shape as the in-process engines;
     [Error] means no entrant produced a credible payload (a [Worker_*]
     resource — retryable, so the ladder falls back in-process).
-    @raise Invalid_argument on an empty engine list. *)
+    @raise Invalid_argument on an empty entrant list. *)
 
 val falsify :
   ?deadline:float ->
   policy:Rfn_proc.Proc.policy ->
-  engines:[ `Bmc | `Sat ] list ->
-  limits:Rfn_atpg.Atpg.limits ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
-  max_depth:int ->
+  (string * (unit -> Bmc.outcome)) list ->
   (Bmc.outcome, Rfn_failure.resource) result
-(** Race bounded falsification (the empty-refinement re-check):
+(** Race bounded falsification (the empty-refinement re-check), e.g.
     ATPG-based {!Bmc.falsify} against {!Sat_bmc.falsify}. [Found]
     (revalidated) and [Exhausted] win; all-gave-up yields
     [Ok (Gave_up _)]; [Error] as in {!concretize}. *)

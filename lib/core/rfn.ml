@@ -5,23 +5,16 @@ module Symbolic = Rfn_mc.Symbolic
 module Image = Rfn_mc.Image
 module Reach = Rfn_mc.Reach
 module Atpg = Rfn_atpg.Atpg
+module Analysis = Rfn_analysis.Analysis
+module Checkpoint = Rfn_proc.Checkpoint
+module Provenance = Rfn_obs.Provenance
 module Telemetry = Rfn_obs.Telemetry
+module Json = Rfn_obs.Json
 module F = Rfn_failure
 
 let src = Logs.Src.create "rfn" ~doc:"RFN abstraction refinement"
 
 module Log = (val Logs.src_log src : Logs.LOG)
-
-(* Handles to counters owned by the engines: the loop snapshots them at
-   the top of each iteration and attributes the deltas to that
-   iteration's provenance record. *)
-let c_sup_retries = Telemetry.counter "supervisor.retries"
-let c_sup_fallbacks = Telemetry.counter "supervisor.fallbacks"
-let c_sup_injected = Telemetry.counter "supervisor.injected_faults"
-let c_sat_learned = Telemetry.counter "sat.learned"
-let c_atpg_backtracks = Telemetry.counter "atpg.backtracks"
-let c_worker_failures = Telemetry.counter "proc.worker_failures"
-let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
 
 type engines = Atpg_only | Sat_only | Portfolio
 
@@ -100,21 +93,8 @@ let default_config =
     job_id = "";
   }
 
-type iteration = {
-  abstract_regs : int;
-  model_inputs : int;
-  cut_size : int option;
-  no_cut_steps : int;
-  min_cut_steps : int;
-  fixpoint_steps : int;
-  trace_length : int option;
-  candidates : int;
-  added : int;
-}
-
 type stats = {
-  iterations : iteration list;
-  provenance : Rfn_obs.Provenance.t list;
+  provenance : Provenance.t list;
   coi_regs : int;
   coi_gates : int;
   final_abstract_regs : int;
@@ -129,6 +109,614 @@ let prepare ?(config = default_config) circuit ~roots =
   Session.create ~node_limit:config.node_limit ~policy:config.session circuit
     ~roots
 
+(* ---- the engine table ------------------------------------------------ *)
+
+(* One engine family of Step 3 and of the empty-refinement re-check: its
+   guided concretizer, its bounded falsifier, the resource a falsifier
+   give-up reports, and the rung labels and race-entrant names events
+   carry. *)
+type engine = {
+  family : F.engine;
+  guided : string * string;  (* Step-3 rung label, race entrant *)
+  recheck : string * string;  (* re-check rung label, race entrant *)
+  give_up : F.resource;
+  concretize : Atpg.limits -> Trace.t list -> Concretize.outcome;
+  falsify : Atpg.limits -> max_depth:int -> Bmc.outcome;
+}
+
+(* [config.engines] as an engine list, primary first. [analysis] and
+   [unrolling] are what one run's in-process rungs share; race workers
+   get neither and encode their own unrolling. *)
+let engine_list ?analysis ~unrolling circuit ~bad selection =
+  let atpg =
+    {
+      family = F.Seq_atpg;
+      guided = ("guided-atpg", "atpg");
+      recheck = ("bmc-recheck", "bmc");
+      give_up = F.Backtracks;
+      concretize =
+        (fun limits abstract_traces ->
+          fst
+            (Concretize.guided_any ~limits ?analysis circuit ~bad
+               ~abstract_traces));
+      falsify =
+        (fun limits ~max_depth ->
+          fst (Bmc.falsify ~limits circuit ~bad ~max_depth));
+    }
+  in
+  let sat =
+    {
+      family = F.Sat;
+      guided = ("guided-sat", "sat");
+      recheck = ("sat-bmc-recheck", "sat");
+      give_up = F.Conflicts;
+      concretize =
+        (fun limits abstract_traces ->
+          fst (Sat_bmc.concretize ~limits (unrolling ()) ~abstract_traces));
+      falsify =
+        (fun limits ~max_depth ->
+          fst (Sat_bmc.falsify ~limits (unrolling ()) ~max_depth));
+    }
+  in
+  match selection with
+  | Atpg_only -> [ atpg ]
+  | Sat_only -> [ sat ]
+  | Portfolio -> [ atpg; sat ]
+
+(* ---- run and iteration state ----------------------------------------- *)
+
+(* Everything the steps of one [verify_in_session] call share. *)
+type run = {
+  config : config;
+  session : Session.t;
+  circuit : Circuit.t;
+  bad : int;
+  analysis : Analysis.t option;
+  sup : Supervisor.t;
+  coi : Coi.t;
+  engines : engine list;
+      (* in-process rungs; the SAT entry extends one unrolling per run,
+         built on first use, so the cone is encoded once and learned
+         clauses carry across iterations. It dies with the run — a
+         pooled session keeps none, since the pool bounds memory by BDD
+         nodes alone. *)
+  racers : engine list;  (* the same engines, as race-worker entrants *)
+  checkpoint : Checkpoint.run option;
+  started : float;
+  resumed_iterations : int;
+  mutable provenance : Provenance.t list;  (* newest first *)
+  mutable last_trace : Trace.t option;
+}
+
+(* The engine counters a provenance record attributes to its iteration,
+   as deltas from a snapshot taken when the iteration starts; in record
+   order: retries, fallbacks, injected, worker_failures, sat_learned,
+   backtracks. *)
+let attributed =
+  Array.map Telemetry.counter
+    [| "supervisor.retries"; "supervisor.fallbacks";
+       "supervisor.injected_faults"; "proc.worker_failures"; "sat.learned";
+       "atpg.backtracks" |]
+
+let snapshot () = Array.map Telemetry.counter_value attributed
+let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
+
+(* One iteration in flight; the steps fill in its provenance record. *)
+type current = {
+  iter : int;
+  abstraction : Abstraction.t;
+  attrs : (string * Json.t) list;
+  mark : int array;  (* [snapshot ()] at the iteration's start *)
+  iter_started : float;
+  mutable record : Provenance.t;
+}
+
+let begin_iteration run iter =
+  let abstraction = Session.abstraction run.session in
+  let view = abstraction.Abstraction.view in
+  Log.info (fun m ->
+      m "iteration %d: abstract model %a" iter Sview.pp_stats view);
+  let regs = Abstraction.num_regs abstraction in
+  {
+    iter;
+    abstraction;
+    attrs = [ ("iter", Json.Int iter); ("abstract_regs", Json.Int regs) ];
+    iter_started = Telemetry.now ();
+    mark = snapshot ();
+    record =
+      {
+        Provenance.iter; regs_before = regs; regs_after = regs;
+        model_inputs = Sview.num_free_inputs view; fixpoint_steps = 0;
+        trace_depth = None; cut_size = None; no_cut_steps = 0;
+        min_cut_steps = 0; cubes = 0; guidance = 0; engine = "";
+        concretize = "none"; promoted = []; candidates = 0; retries = 0;
+        fallbacks = 0; injected = 0; worker_failures = 0; bdd_nodes = 0;
+        bdd_peak = 0; sat_learned = 0; backtracks = 0; seconds = 0.0;
+        outcome = "";
+      };
+  }
+
+(* Close the iteration's record with [outcome]: fill in the counter
+   deltas, BDD gauges and time, keep it, and emit it as an
+   ["rfn.iteration"] event. *)
+let close run cur outcome =
+  let d =
+    Array.map2 (fun c v -> Telemetry.counter_value c - v) attributed cur.mark
+  in
+  let p =
+    {
+      cur.record with
+      retries = d.(0); fallbacks = d.(1); injected = d.(2);
+      worker_failures = d.(3); sat_learned = d.(4); backtracks = d.(5);
+      bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
+      bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
+      seconds = Telemetry.now () -. cur.iter_started;
+      outcome;
+    }
+  in
+  run.provenance <- p :: run.provenance;
+  Telemetry.event "rfn.iteration" (Provenance.to_fields p)
+
+(* What a step hands on: the next step's input, or the run's verdict
+   once the iteration's record is closed. *)
+type 'a step = Next of 'a | Stop of outcome
+
+let stop run cur desc outcome =
+  close run cur desc;
+  Stop outcome
+
+let aborted run cur failure =
+  stop run cur ("aborted:" ^ F.resource_to_string failure.F.resource)
+    (Aborted failure)
+
+(* Cross-artifact invariant checks at phase boundaries (RFN_CHECK=1 /
+   [config.check_invariants]): a violation unwinds the loop into a
+   structured [Invariant] abort instead of corrupting later phases. *)
+exception Check_violation of F.t
+
+let check run cur ~engine ~phase ~what thunk =
+  if run.config.check_invariants then
+    try Rfn_lint.Check.ensure ~what (thunk ())
+    with Rfn_lint.Check.Violation (w, fs) ->
+      raise
+        (Check_violation
+           (F.make ~iteration:cur.iter ~engine ~phase
+              (F.Invariant (Rfn_lint.Check.violation_message w fs))))
+
+let check_concrete_trace run cur ~engine t =
+  check run cur ~engine ~phase:F.Concretization ~what:"concrete counterexample"
+    (fun () ->
+      Rfn_lint.Check.trace
+        (Sview.whole run.circuit ~roots:[])
+        ~depth:(Trace.length t) t)
+
+let concrete_limits run =
+  Supervisor.concrete_limits run.sup run.config.concrete_atpg
+
+(* With the worker pool enabled, [race] heads the ladder and the
+   in-process rungs stay below it as fallbacks, so a crashed, hung or
+   babbling worker degrades to the sequential ladder instead of
+   changing the verdict. *)
+let with_race run race rungs =
+  if not run.config.proc.Rfn_proc.Proc.enabled then rungs
+  else
+    race
+    :: List.map (fun (_, label, f) -> (Supervisor.Fallback, label, f)) rungs
+
+(* ---- Step 2a: prove, or find the bad states' depth ------------------- *)
+
+(* Ladder: the session's carried state as-is, then (on a BDD node
+   blow-up) a session reset — a rebuild with a fresh FORCE variable
+   order — then one more with a grown node budget. [Session.prepare]
+   runs inside the rung, so its blow-ups map to [Error Nodes] like the
+   fixpoint's own. *)
+let abstract_mc run cur =
+  let attempt prep () =
+    match
+      let { Session.vm; fn; img } = prep () in
+      let init = Symbolic.initial_states vm in
+      let bad_states = Reach.bad_predicate vm ~fn ~bad:run.bad in
+      (* Proven invariants as a care set: concretely reachable states
+         all satisfy them, so restricting the abstract exploration to
+         the invariant region is sound for Proved verdicts (and a
+         Reached trace is still concretization-validated before it can
+         become Falsified). *)
+      let care =
+        Option.map (fun a -> Analysis.constraint_bdd a vm) run.analysis
+      in
+      let res =
+        Reach.run ~max_steps:run.config.mc_max_steps
+          ?max_seconds:(Supervisor.time_left run.sup) ?care img ~vm ~init
+          ~bad_states
+      in
+      (vm, fn, res)
+    with
+    | exception Bdd.Limit_exceeded -> Error F.Nodes
+    | (_, _, res) as v -> (
+      match res.Reach.outcome with
+      | Reach.Aborted r when F.retryable_resource r -> Error r
+      | _ -> Ok v)
+  in
+  let rebuild node_limit () =
+    Session.reset run.session ~fresh_order:true ~node_limit;
+    Session.prepare run.session
+  in
+  let node_limit = run.config.node_limit in
+  let mc =
+    Telemetry.with_span "rfn.abstract_mc" ~attrs:cur.attrs (fun () ->
+        Supervisor.run run.sup ~site:Supervisor.Abstract_mc ~engine:F.Bdd_mc
+          ~phase:F.Abstract_mc ~iteration:cur.iter
+          [
+            ( Supervisor.Primary,
+              "fixpoint",
+              attempt (fun () -> Session.prepare run.session) );
+            ( Supervisor.Retry,
+              "fixpoint+fresh-order",
+              attempt (rebuild node_limit) );
+            ( Supervisor.Retry,
+              "fixpoint+node-budget",
+              attempt
+                (rebuild
+                   (node_limit
+                   * (Supervisor.policy run.sup).Supervisor.node_limit_growth))
+            );
+          ])
+  in
+  Rfn_obs.Sampler.tick "rfn.abstract_mc";
+  match mc with
+  | Error failure -> aborted run cur failure
+  | Ok (vm, fn, res) -> (
+    check run cur ~engine:F.Bdd_mc ~phase:F.Abstract_mc
+      ~what:"abstract-mc artifacts" (fun () ->
+        Rfn_lint.Check.varmap vm
+        @ Rfn_lint.Check.cone_cache vm
+            ~signals:(Session.cone_signals run.session));
+    cur.record <- { cur.record with fixpoint_steps = res.Reach.steps };
+    let failure resource =
+      F.make ~iteration:cur.iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc resource
+    in
+    match res.Reach.outcome with
+    | Reach.Proved ->
+      Log.info (fun m -> m "property proved on the abstract model");
+      stop run cur "proved" Proved
+    | Reach.Closed _ ->
+      (* not produced when stop_at_bad is true (the default); an engine
+         invariant slip degrades into a reported abort rather than a
+         crash *)
+      stop run cur "aborted:invariant"
+        (Aborted
+           (failure
+              (F.Invariant
+                 "reachability closed with a bad intersection despite \
+                  stop_at_bad")))
+    | Reach.Aborted r ->
+      (* terminal resource (time or step bound) — the ladder does not
+         retry those *)
+      aborted run cur (failure r)
+    | Reach.Reached k -> Next (vm, fn, res, k))
+
+(* ---- Step 2b: extract abstract error traces -------------------------- *)
+
+(* Ladder: the paper's min-cut pre-image path, then pure pre-image on
+   the abstract model (no cut, no ATPG cube extension). Hands on the
+   first trace (what refinement explains) and every trace (the
+   concrete search's guidance). *)
+let extract run cur (vm, fn, res, k) =
+  let attempt ~use_mincut () =
+    match
+      Hybrid.extract_multi
+        ~atpg_limits:
+          (Supervisor.clamp_limits run.sup Supervisor.Hybrid_extract
+             run.config.abstract_atpg)
+        ~use_mincut ~fn
+        ~count:(max 1 run.config.guidance_traces)
+        vm ~rings:res.Reach.rings ~target:(fn run.bad) ~k
+    with
+    | exception Hybrid.Extraction_failed r -> Error r
+    | exception Bdd.Limit_exceeded -> Error F.Nodes
+    | [] ->
+      (* extract_multi promises at least one trace *)
+      Error (F.Invariant "hybrid engine returned no abstract traces")
+    | hybrids -> Ok hybrids
+  in
+  let extraction =
+    Telemetry.with_span "rfn.hybrid" ~attrs:cur.attrs (fun () ->
+        Supervisor.run run.sup ~site:Supervisor.Hybrid_extract
+          ~engine:F.Hybrid ~phase:F.Trace_extraction ~iteration:cur.iter
+          [
+            (Supervisor.Primary, "min-cut", attempt ~use_mincut:true);
+            (Supervisor.Fallback, "pure-preimage", attempt ~use_mincut:false);
+          ])
+  in
+  Rfn_obs.Sampler.tick "rfn.hybrid";
+  match extraction with
+  | Error failure -> aborted run cur failure
+  | Ok [] ->
+    (* unreachable: the ladder maps [] to an Error *)
+    stop run cur "aborted:invariant"
+      (Aborted
+         (F.make ~iteration:cur.iter ~engine:F.Hybrid ~phase:F.Trace_extraction
+            (F.Invariant "hybrid engine returned no abstract traces")))
+  | Ok (hybrid :: _ as hybrids) ->
+    let view = cur.abstraction.Abstraction.view in
+    check run cur ~engine:F.Hybrid ~phase:F.Trace_extraction
+      ~what:"abstract error traces" (fun () ->
+        (* input cubes may also pin min-cut signals, which carry an
+           input variable in the varmap *)
+        let input_ok s = Sview.is_free view s || Varmap.has_inp_var vm s in
+        List.concat_map
+          (fun h ->
+            Rfn_lint.Check.trace ~input_ok view ~depth:(k + 1) h.Hybrid.trace)
+          hybrids);
+    let trace = hybrid.Hybrid.trace in
+    let guidance = List.map (fun h -> h.Hybrid.trace) hybrids in
+    run.last_trace <- Some trace;
+    Log.info (fun m ->
+        m "%d abstract error trace(s) of length %d (cut %d of %d inputs)"
+          (List.length hybrids) (Trace.length trace) hybrid.Hybrid.cut_size
+          hybrid.Hybrid.model_inputs);
+    cur.record <-
+      {
+        cur.record with
+        cut_size = Some hybrid.Hybrid.cut_size;
+        no_cut_steps = hybrid.Hybrid.no_cut_steps;
+        min_cut_steps = hybrid.Hybrid.min_cut_steps;
+        trace_depth = Some (Trace.length trace);
+        cubes =
+          2 * List.fold_left (fun acc t -> acc + Trace.length t) 0 guidance;
+        guidance = List.length hybrids;
+        engine = engines_to_string run.config.engines;
+      };
+    Next (trace, guidance)
+
+(* ---- Step 3: search the original design ------------------------------ *)
+
+(* A failure here is never fatal: an injected or resource failure
+   degrades to a give-up, which escalates the backtrack budget for the
+   next iteration and refines. The ladder is the engine list, primary
+   first, so in portfolio mode an ATPG give-up escalates to SAT-guided
+   BMC at the same depth; with the worker pool on, a race of all of them
+   runs first. *)
+let concretize run cur guidance =
+  let as_rung = function Concretize.Gave_up r -> Error r | o -> Ok o in
+  let race () =
+    let limits = concrete_limits run in
+    Result.bind
+      (Racing.concretize ?deadline:limits.Atpg.max_seconds
+         ~policy:run.config.proc run.circuit ~bad:run.bad
+         (List.map
+            (fun e -> (snd e.guided, fun () -> e.concretize limits guidance))
+            run.racers))
+      as_rung
+  in
+  let rungs =
+    List.mapi
+      (fun i e ->
+        ( (if i = 0 then Supervisor.Primary else Supervisor.Fallback),
+          fst e.guided,
+          fun () -> as_rung (e.concretize (concrete_limits run) guidance) ))
+      run.engines
+    |> with_race run (Supervisor.Primary, "race", race)
+  in
+  let engine = (List.hd run.engines).family in
+  let concrete =
+    Telemetry.with_span "rfn.concretize" ~attrs:cur.attrs (fun () ->
+        match
+          Supervisor.run run.sup ~site:Supervisor.Concretize ~engine
+            ~phase:F.Concretization ~iteration:cur.iter rungs
+        with
+        | Ok outcome -> outcome
+        | Error failure -> Concretize.Gave_up failure.F.resource)
+  in
+  Rfn_obs.Sampler.tick "rfn.concretize";
+  let desc =
+    match concrete with
+    | Concretize.Found _ -> "found"
+    | Concretize.Not_found_here -> "not-found"
+    | Concretize.Gave_up r -> "gave-up:" ^ F.resource_to_string r
+  in
+  cur.record <- { cur.record with concretize = desc };
+  match concrete with
+  | Concretize.Found t ->
+    check_concrete_trace run cur ~engine t;
+    Log.info (fun m -> m "concrete counterexample found");
+    stop run cur "falsified" (Falsified t)
+  | Concretize.Not_found_here -> Next ()
+  | Concretize.Gave_up r ->
+    Log.info (fun m ->
+        m "concretization gave up (%a); escalating backtrack budget"
+          F.pp_resource r);
+    Supervisor.escalate run.sup;
+    Next ()
+
+(* ---- Step 4: refine -------------------------------------------------- *)
+
+(* Ladder: crucial registers, then (on an empty refinement) the
+   highest-fanout pseudo-input, then a BMC re-check at the abstract
+   trace's depth by each engine of the list (raced first when the
+   worker pool is on). *)
+let refine run cur abstract_trace =
+  let abstraction = cur.abstraction in
+  let crucial () =
+    let r =
+      Refine.crucial_registers
+        ~atpg_limits:
+          (Supervisor.clamp_limits run.sup Supervisor.Refine
+             run.config.abstract_atpg)
+        ~bad:run.bad abstraction ~abstract_trace ()
+    in
+    if r.Refine.kept = [] then Error F.No_refinement
+    else Ok (`Add (r.Refine.kept, List.length r.Refine.candidates))
+  in
+  let highest_fanout () =
+    match Abstraction.pseudo_inputs abstraction with
+    | [] ->
+      (* no pseudo-inputs means the model is closed: the abstract trace
+         should have concretized — let the BMC rung arbitrate *)
+      Error (F.Invariant "closed abstract model, spurious trace")
+    | ps ->
+      let fanout s = Array.length run.circuit.Circuit.fanouts.(s) in
+      let best =
+        List.fold_left
+          (fun a s -> if fanout s > fanout a then s else a)
+          (List.hd ps) (List.tl ps)
+      in
+      Ok (`Add ([ best ], List.length ps))
+  in
+  let max_depth = Trace.length abstract_trace in
+  let falsified ~give_up = function
+    | Bmc.Found t -> Ok (`Cex t)
+    | Bmc.Exhausted -> Error F.No_refinement
+    | Bmc.Gave_up _ -> Error give_up
+  in
+  let race () =
+    let limits = concrete_limits run in
+    Result.bind
+      (Racing.falsify ?deadline:limits.Atpg.max_seconds
+         ~policy:run.config.proc run.circuit ~bad:run.bad
+         (List.map
+            (fun e -> (snd e.recheck, fun () -> e.falsify limits ~max_depth))
+            run.racers))
+      (falsified ~give_up:F.Backtracks)
+  in
+  let rechecks =
+    List.map
+      (fun e ->
+        ( Supervisor.Fallback,
+          fst e.recheck,
+          fun () ->
+            falsified ~give_up:e.give_up
+              (e.falsify (concrete_limits run) ~max_depth) ))
+      run.engines
+    |> with_race run (Supervisor.Fallback, "race-recheck", race)
+  in
+  let refinement =
+    Telemetry.with_span "rfn.refine" ~attrs:cur.attrs (fun () ->
+        Supervisor.run run.sup ~site:Supervisor.Refine ~engine:F.Seq_atpg
+          ~phase:F.Refinement ~iteration:cur.iter
+          ((Supervisor.Primary, "crucial-registers", crucial)
+          :: (Supervisor.Fallback, "highest-fanout", highest_fanout)
+          :: rechecks))
+  in
+  Rfn_obs.Sampler.tick "rfn.refine";
+  match refinement with
+  | Ok (`Add (regs, candidates)) ->
+    Log.info (fun m ->
+        m "refining with %d register(s) (%d candidates)" (List.length regs)
+          candidates);
+    let delta = Session.refine run.session ~add:regs in
+    Log.debug (fun m ->
+        m "delta: %d promoted, %d fresh, %d new signals"
+          (List.length delta.Abstraction.promoted)
+          (List.length delta.Abstraction.fresh_regs)
+          delta.Abstraction.new_signals);
+    cur.record <-
+      {
+        cur.record with
+        candidates;
+        promoted = List.map (Circuit.name run.circuit) regs;
+        regs_after = Abstraction.num_regs (Session.abstraction run.session);
+      };
+    close run cur "refined";
+    check run cur ~engine:F.Cegar ~phase:F.Refinement
+      ~what:"post-refine varmap" (fun () ->
+        match Session.varmap run.session with
+        | None -> []
+        | Some vm -> Rfn_lint.Check.varmap vm);
+    Next ()
+  | Ok (`Cex t) ->
+    check_concrete_trace run cur ~engine:F.Seq_atpg t;
+    Log.info (fun m -> m "BMC re-check found a concrete counterexample");
+    stop run cur "falsified" (Falsified t)
+  | Error failure -> aborted run cur failure
+
+(* ---- the loop -------------------------------------------------------- *)
+
+let finish run outcome =
+  (* a conclusive verdict retires the checkpoint; an abort keeps it so
+     the run can be resumed *)
+  (match (outcome, run.checkpoint) with
+  | (Proved | Falsified _), Some ck -> Checkpoint.retire ck
+  | _ -> ());
+  ( outcome,
+    {
+      provenance = List.rev run.provenance;
+      coi_regs = Coi.num_regs run.coi;
+      coi_gates = Coi.num_gates run.coi;
+      final_abstract_regs =
+        Abstraction.num_regs (Session.abstraction run.session);
+      last_abstract_trace = run.last_trace;
+      seconds = Telemetry.now () -. run.started;
+      resumed_iterations = run.resumed_iterations;
+    } )
+
+let save_checkpoint run iter =
+  Option.iter
+    (fun ck ->
+      match
+        Checkpoint.persist ck ~iteration:iter
+          ~seconds_used:(Telemetry.now () -. run.started)
+          ~escalation:(Supervisor.escalation run.sup)
+          ~regs:
+            (Bitset.to_list (Session.abstraction run.session).Abstraction.regs)
+          ~provenance:(List.rev run.provenance)
+      with
+      | Ok () -> ()
+      | Error msg -> Log.warn (fun m -> m "checkpoint save failed: %s" msg))
+    run.checkpoint
+
+(* The loop state is persisted atomically at each iteration boundary,
+   keyed by a digest of the netlist: a killed run resumes from its last
+   completed refinement, and a checkpoint written for a different
+   design, property or job is ignored with a warning rather than
+   trusted. Returns the iteration to start at and the checkpointed
+   provenance, oldest first. *)
+let resume (config : config) session sup ck =
+  match (config.checkpoint, ck) with
+  | Some file, Some ck when config.resume -> (
+    match Checkpoint.resume ck with
+    | Ok None -> (1, [])
+    | Error msg ->
+      Log.warn (fun m ->
+          m "ignoring checkpoint %s (%s); starting fresh" file msg);
+      (1, [])
+    | Ok (Some (saved, regs)) ->
+      let current = (Session.abstraction session).Abstraction.regs in
+      let add = List.filter (fun s -> not (Bitset.mem current s)) regs in
+      if add <> [] then ignore (Session.refine session ~add);
+      Supervisor.set_escalation sup saved.Checkpoint.escalation;
+      let start = max 1 saved.Checkpoint.iteration in
+      let regs = Abstraction.num_regs (Session.abstraction session) in
+      Telemetry.event "rfn.resume"
+        [
+          ("file", Json.Str file);
+          ("iteration", Json.Int start);
+          ("regs", Json.Int regs);
+        ];
+      Log.info (fun m ->
+          m "resumed from %s: continuing at iteration %d with %d registers"
+            file start regs);
+      (start, saved.Checkpoint.provenance))
+  | _ -> (1, [])
+
+let rec iterate run iter =
+  save_checkpoint run iter;
+  let loop_failure r = F.make ~iteration:iter ~engine:F.Cegar ~phase:F.Loop r in
+  if iter > run.config.max_iterations then
+    finish run (Aborted (loop_failure F.Iterations))
+  else if Supervisor.out_of_time run.sup then
+    finish run (Aborted (loop_failure F.Time))
+  else
+    let cur = begin_iteration run iter in
+    let ( let* ) step next =
+      match step with Stop outcome -> finish run outcome | Next x -> next x
+    in
+    let* mc = abstract_mc run cur in
+    let* trace, guidance = extract run cur mc in
+    let* () = concretize run cur guidance in
+    let* () = refine run cur trace in
+    iterate run (iter + 1)
+
 let verify_in_session ?(config = default_config) session prop =
   let started = Telemetry.now () in
   let circuit = Session.circuit session in
@@ -136,6 +724,13 @@ let verify_in_session ?(config = default_config) session prop =
      same design, carried cone BDDs the two properties share survive
      verbatim; a fresh session just initializes its abstraction. *)
   Session.retarget session ~roots:(Property.roots prop);
+  (* Every BDD manager in the process records into [bdd.live_nodes]:
+     restart it from this session's own manager, so the provenance
+     records' node counts and peak are this run's alone. *)
+  Telemetry.rebase g_bdd_nodes
+    (match Session.varmap session with
+    | None -> 0
+    | Some vm -> Bdd.num_nodes (Varmap.man vm));
   (* Static pre-flight: infer and inductively prove reachable-state
      invariants on the concrete netlist, once per session (a warm
      session reuses the previous property's result — the invariants are
@@ -149,15 +744,13 @@ let verify_in_session ?(config = default_config) session prop =
       | Some a -> Some a
       | None ->
         let a =
-          Telemetry.with_span "rfn.analyze" (fun () ->
-              Rfn_analysis.Analysis.run circuit)
+          Telemetry.with_span "rfn.analyze" (fun () -> Analysis.run circuit)
         in
         Session.set_analysis session a;
         Log.info (fun m ->
             m "analysis: %d invariant(s) proved (%d candidates) in %.2fs"
-              a.Rfn_analysis.Analysis.stats.Rfn_analysis.Analysis.proved
-              a.Rfn_analysis.Analysis.stats.Rfn_analysis.Analysis.candidates
-              a.Rfn_analysis.Analysis.seconds);
+              a.Analysis.stats.Analysis.proved
+              a.Analysis.stats.Analysis.candidates a.Analysis.seconds);
         Some a
   in
   let sup =
@@ -166,652 +759,41 @@ let verify_in_session ?(config = default_config) session prop =
   in
   let bad = prop.Property.bad in
   let coi = Coi.compute circuit ~roots:(Property.roots prop) in
-  (* The SAT rungs' concrete unrolling: built by the first rung that
-     needs it, then only deepened, so the cone is encoded once per run
-     and learned clauses carry across iterations. It dies with this
-     call — a pooled session keeps none, since the pool bounds memory
-     by BDD nodes alone. *)
-  let sat_unrolling = lazy (Sat_bmc.unrolling ?analysis circuit ~bad) in
-  let iterations = ref [] in
-  let provenance = ref [] in
-  let last_trace = ref None in
-  (* ---- crash-safe checkpointing --------------------------------------
-     The loop state (abstraction register set, iteration counter,
-     escalation factor, provenance tail) is persisted atomically at
-     each iteration boundary, keyed by a digest of the netlist: a
-     killed run resumes from its last completed refinement, and a
-     checkpoint written for a different design or property is ignored
-     with a warning rather than trusted. *)
-  let netlist_hash =
-    match config.checkpoint with
-    | None -> ""
-    | Some _ -> Rfn_proc.Checkpoint.hash_circuit circuit
+  let unrolling = lazy (Sat_bmc.unrolling ?analysis circuit ~bad) in
+  let checkpoint =
+    Option.map
+      (fun file ->
+        Checkpoint.for_run ~job_id:config.job_id file circuit
+          ~property:prop.Property.name)
+      config.checkpoint
   in
-  let resumed_iterations = ref 0 in
-  let start_iter = ref 1 in
-  (if config.resume then
-     match config.checkpoint with
-     | None -> ()
-     | Some file when not (Sys.file_exists file) -> ()
-     | Some file -> (
-       let fresh msg =
-         Log.warn (fun m ->
-             m "ignoring checkpoint %s (%s); starting fresh" file msg)
-       in
-       match Rfn_proc.Checkpoint.load file with
-       | Error msg -> fresh msg
-       | Ok ck -> (
-         match
-           Rfn_proc.Checkpoint.validate ck ~job_id:config.job_id ~netlist_hash
-             ~property:prop.Property.name
-         with
-         | Error msg -> fresh msg
-         | Ok () -> (
-           match
-             List.map (Circuit.find circuit) ck.Rfn_proc.Checkpoint.regs
-           with
-           | exception Not_found ->
-             fresh "a checkpointed register is not in this design"
-           | ids ->
-             let current =
-               (Session.abstraction session).Abstraction.regs
-             in
-             let add =
-               List.filter (fun s -> not (Bitset.mem current s)) ids
-             in
-             if add <> [] then ignore (Session.refine session ~add);
-             Supervisor.set_escalation sup ck.Rfn_proc.Checkpoint.escalation;
-             provenance := List.rev ck.Rfn_proc.Checkpoint.provenance;
-             start_iter := max 1 ck.Rfn_proc.Checkpoint.iteration;
-             resumed_iterations := max 0 (!start_iter - 1);
-             Telemetry.event "rfn.resume"
-               [
-                 ("file", Rfn_obs.Json.Str file);
-                 ("iteration", Rfn_obs.Json.Int !start_iter);
-                 ( "regs",
-                   Rfn_obs.Json.Int
-                     (Abstraction.num_regs (Session.abstraction session)) );
-               ];
-             Log.info (fun m ->
-                 m "resumed from %s: continuing at iteration %d with %d \
-                    registers"
-                   file !start_iter
-                   (Abstraction.num_regs (Session.abstraction session)))))));
-  let save_checkpoint iter =
-    match config.checkpoint with
-    | None -> ()
-    | Some file -> (
-      let abstraction = Session.abstraction session in
-      let regs =
-        List.map (Circuit.name circuit)
-          (Bitset.to_list abstraction.Abstraction.regs)
-      in
-      let ck =
-        Rfn_proc.Checkpoint.make ~job_id:config.job_id ~netlist_hash
-          ~property:prop.Property.name ~iteration:iter
-          ~seconds_used:(Telemetry.now () -. started)
-          ~escalation:(Supervisor.escalation sup)
-          ~regs
-          ~provenance:(List.rev !provenance)
-          ()
-      in
-      try Rfn_proc.Checkpoint.save file ck
-      with Sys_error msg ->
-        Log.warn (fun m -> m "checkpoint save failed: %s" msg))
+  let start, provenance = resume config session sup checkpoint in
+  let run =
+    {
+      config;
+      session;
+      circuit;
+      bad;
+      analysis;
+      sup;
+      coi;
+      engines =
+        engine_list ?analysis
+          ~unrolling:(fun () -> Lazy.force unrolling)
+          circuit ~bad config.engines;
+      racers =
+        engine_list
+          ~unrolling:(fun () -> Sat_bmc.unrolling circuit ~bad)
+          circuit ~bad config.engines;
+      checkpoint;
+      started;
+      resumed_iterations = start - 1;
+      provenance = List.rev provenance;
+      last_trace = None;
+    }
   in
-  let finish abstraction outcome =
-    (* a conclusive verdict retires the checkpoint; an abort keeps it
-       so the run can be resumed *)
-    (match (outcome, config.checkpoint) with
-    | (Proved | Falsified _), Some file when Sys.file_exists file -> (
-      try Sys.remove file with Sys_error _ -> ())
-    | _ -> ());
-    ( outcome,
-      {
-        iterations = List.rev !iterations;
-        provenance = List.rev !provenance;
-        coi_regs = Coi.num_regs coi;
-        coi_gates = Coi.num_gates coi;
-        final_abstract_regs = Abstraction.num_regs abstraction;
-        last_abstract_trace = !last_trace;
-        seconds = Telemetry.now () -. started;
-        resumed_iterations = !resumed_iterations;
-      } )
-  in
-  let time_left () = Supervisor.time_left sup in
-  let loop_failure iter resource =
-    F.make ~iteration:iter ~engine:F.Cegar ~phase:F.Loop resource
-  in
-  (* Cross-artifact invariant checks at phase boundaries (RFN_CHECK=1 /
-     [config.check_invariants]): a violation unwinds the loop into a
-     structured [Invariant] abort instead of corrupting later phases. *)
-  let exception Check_violation of F.t in
-  let check ~iter ~engine ~phase ~what thunk =
-    if config.check_invariants then
-      try Rfn_lint.Check.ensure ~what (thunk ())
-      with Rfn_lint.Check.Violation (w, fs) ->
-        raise
-          (Check_violation
-             (F.make ~iteration:iter ~engine ~phase
-                (F.Invariant (Rfn_lint.Check.violation_message w fs))))
-  in
-  let rec iterate iter =
-    let abstraction = Session.abstraction session in
-    save_checkpoint iter;
-    if iter > config.max_iterations then
-      finish abstraction (Aborted (loop_failure iter F.Iterations))
-    else if Supervisor.out_of_time sup then
-      finish abstraction (Aborted (loop_failure iter F.Time))
-    else begin
-      let view = abstraction.Abstraction.view in
-      Log.info (fun m ->
-          m "iteration %d: abstract model %a" iter Sview.pp_stats view);
-      (* Counter snapshots: everything the engines bump during this
-         iteration is attributed to it by delta. *)
-      let iter_started = Telemetry.now () in
-      let retries0 = Telemetry.counter_value c_sup_retries in
-      let fallbacks0 = Telemetry.counter_value c_sup_fallbacks in
-      let injected0 = Telemetry.counter_value c_sup_injected in
-      let learned0 = Telemetry.counter_value c_sat_learned in
-      let backtracks0 = Telemetry.counter_value c_atpg_backtracks in
-      let worker_failures0 = Telemetry.counter_value c_worker_failures in
-      let record ?cut_size ?(no_cut = 0) ?(min_cut = 0) ?trace_length
-          ?(candidates = 0) ?(added = 0) ?(cubes = 0) ?(guidance = 0)
-          ?(engine = "") ?(concretize = "none") ?(promoted = []) ?regs_after
-          ~outcome steps =
-        iterations :=
-          {
-            abstract_regs = Abstraction.num_regs abstraction;
-            model_inputs = Sview.num_free_inputs view;
-            cut_size;
-            no_cut_steps = no_cut;
-            min_cut_steps = min_cut;
-            fixpoint_steps = steps;
-            trace_length;
-            candidates;
-            added;
-          }
-          :: !iterations;
-        let regs_before = Abstraction.num_regs abstraction in
-        let p =
-          {
-            Rfn_obs.Provenance.iter;
-            regs_before;
-            regs_after =
-              (match regs_after with Some n -> n | None -> regs_before);
-            model_inputs = Sview.num_free_inputs view;
-            fixpoint_steps = steps;
-            trace_depth = trace_length;
-            cut_size;
-            cubes;
-            guidance;
-            engine;
-            concretize;
-            promoted;
-            candidates;
-            retries = Telemetry.counter_value c_sup_retries - retries0;
-            fallbacks = Telemetry.counter_value c_sup_fallbacks - fallbacks0;
-            injected = Telemetry.counter_value c_sup_injected - injected0;
-            worker_failures =
-              Telemetry.counter_value c_worker_failures - worker_failures0;
-            bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
-            bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
-            sat_learned = Telemetry.counter_value c_sat_learned - learned0;
-            backtracks =
-              Telemetry.counter_value c_atpg_backtracks - backtracks0;
-            seconds = Telemetry.now () -. iter_started;
-            outcome;
-          }
-        in
-        provenance := p :: !provenance;
-        Telemetry.event "rfn.iteration" (Rfn_obs.Provenance.to_fields p)
-      in
-      let attrs =
-        [
-          ("iter", Rfn_obs.Json.Int iter);
-          ( "abstract_regs",
-            Rfn_obs.Json.Int (Abstraction.num_regs abstraction) );
-        ]
-      in
-      (* Step 2: prove or find an abstract error trace. Ladder: the
-         session's carried state as-is, then (on a BDD node blow-up) a
-         session reset — a rebuild with a fresh FORCE variable order —
-         then one more with a grown node budget. [Session.prepare] runs
-         inside the rung, so its blow-ups map to [Error Nodes] like the
-         fixpoint's own. *)
-      let mc_attempt ~prep () =
-        match
-          let { Session.vm; fn; img } = prep () in
-          let init = Symbolic.initial_states vm in
-          let bad_states = Reach.bad_predicate vm ~fn ~bad in
-          (* Proven invariants as a care set: concretely reachable
-             states all satisfy them, so restricting the abstract
-             exploration to the invariant region is sound for Proved
-             verdicts (and a Reached trace is still concretization-
-             validated before it can become Falsified). *)
-          let care =
-            match analysis with
-            | None -> None
-            | Some a -> Some (Rfn_analysis.Analysis.constraint_bdd a vm)
-          in
-          let res =
-            Reach.run ~max_steps:config.mc_max_steps
-              ?max_seconds:(time_left ()) ?care img ~vm ~init ~bad_states
-          in
-          (vm, fn, res)
-        with
-        | exception Bdd.Limit_exceeded -> Error F.Nodes
-        | (_, _, res) as v -> (
-          match res.Reach.outcome with
-          | Reach.Aborted r when F.retryable_resource r -> Error r
-          | _ -> Ok v)
-      in
-      let mc =
-        Telemetry.with_span "rfn.abstract_mc" ~attrs (fun () ->
-            Supervisor.run sup ~site:Supervisor.Abstract_mc ~engine:F.Bdd_mc
-              ~phase:F.Abstract_mc ~iteration:iter
-              [
-                ( Supervisor.Primary,
-                  "fixpoint",
-                  mc_attempt ~prep:(fun () -> Session.prepare session) );
-                ( Supervisor.Retry,
-                  "fixpoint+fresh-order",
-                  mc_attempt ~prep:(fun () ->
-                      Session.reset session ~fresh_order:true
-                        ~node_limit:config.node_limit;
-                      Session.prepare session) );
-                ( Supervisor.Retry,
-                  "fixpoint+node-budget",
-                  mc_attempt ~prep:(fun () ->
-                      Session.reset session ~fresh_order:true
-                        ~node_limit:
-                          (config.node_limit
-                          * (Supervisor.policy sup).Supervisor.node_limit_growth);
-                      Session.prepare session) );
-              ])
-      in
-      Rfn_obs.Sampler.tick "rfn.abstract_mc";
-      match mc with
-      | Error failure ->
-        record ~outcome:("aborted:" ^ F.resource_to_string failure.F.resource)
-          0;
-        finish abstraction (Aborted failure)
-      | Ok (vm, fn, res) -> (
-        check ~iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc
-          ~what:"abstract-mc artifacts" (fun () ->
-            Rfn_lint.Check.varmap vm
-            @ Rfn_lint.Check.cone_cache vm
-                ~signals:(Session.cone_signals session));
-        match res.Reach.outcome with
-        | Reach.Proved ->
-          record ~outcome:"proved" res.Reach.steps;
-          Log.info (fun m -> m "property proved on the abstract model");
-          finish abstraction Proved
-        | Reach.Closed _ ->
-          (* not produced when stop_at_bad is true (the default); an
-             engine invariant slip degrades into a reported abort
-             rather than a crash *)
-          record ~outcome:"aborted:invariant" res.Reach.steps;
-          finish abstraction
-            (Aborted
-               (F.make ~iteration:iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc
-                  (F.Invariant
-                     "reachability closed with a bad intersection despite \
-                      stop_at_bad")))
-        | Reach.Aborted r ->
-          (* terminal resource (time or step bound) — the ladder does
-             not retry those *)
-          record ~outcome:("aborted:" ^ F.resource_to_string r)
-            res.Reach.steps;
-          finish abstraction
-            (Aborted
-               (F.make ~iteration:iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc r))
-        | Reach.Reached k -> (
-          (* Step 2b: abstract error trace. Ladder: the paper's min-cut
-             pre-image path, then pure pre-image on the abstract model
-             (no cut, no ATPG cube extension). *)
-          let hybrid_attempt ~use_mincut () =
-            match
-              Hybrid.extract_multi
-                ~atpg_limits:
-                  (Supervisor.clamp_limits sup Supervisor.Hybrid_extract
-                     config.abstract_atpg)
-                ~use_mincut ~fn
-                ~count:(max 1 config.guidance_traces)
-                vm ~rings:res.Reach.rings ~target:(fn bad) ~k
-            with
-            | exception Hybrid.Extraction_failed r -> Error r
-            | exception Bdd.Limit_exceeded -> Error F.Nodes
-            | [] ->
-              (* extract_multi promises at least one trace *)
-              Error (F.Invariant "hybrid engine returned no abstract traces")
-            | hybrids -> Ok hybrids
-          in
-          let extraction =
-            Telemetry.with_span "rfn.hybrid" ~attrs (fun () ->
-                Supervisor.run sup ~site:Supervisor.Hybrid_extract
-                  ~engine:F.Hybrid ~phase:F.Trace_extraction ~iteration:iter
-                  [
-                    ( Supervisor.Primary,
-                      "min-cut",
-                      hybrid_attempt ~use_mincut:true );
-                    ( Supervisor.Fallback,
-                      "pure-preimage",
-                      hybrid_attempt ~use_mincut:false );
-                  ])
-          in
-          Rfn_obs.Sampler.tick "rfn.hybrid";
-          match extraction with
-          | Error failure ->
-            record
-              ~outcome:("aborted:" ^ F.resource_to_string failure.F.resource)
-              res.Reach.steps;
-            finish abstraction (Aborted failure)
-          | Ok (hybrid :: _ as hybrids) -> (
-            check ~iter ~engine:F.Hybrid ~phase:F.Trace_extraction
-              ~what:"abstract error traces" (fun () ->
-                (* input cubes may also pin min-cut signals, which carry
-                   an input variable in the varmap *)
-                let input_ok s =
-                  Sview.is_free view s || Varmap.has_inp_var vm s
-                in
-                List.concat_map
-                  (fun h ->
-                    Rfn_lint.Check.trace ~input_ok view ~depth:(k + 1)
-                      h.Hybrid.trace)
-                  hybrids);
-            let abstract_trace = hybrid.Hybrid.trace in
-            last_trace := Some abstract_trace;
-            Log.info (fun m ->
-                m "%d abstract error trace(s) of length %d (cut %d of %d inputs)"
-                  (List.length hybrids)
-                  (Trace.length abstract_trace)
-                  hybrid.Hybrid.cut_size hybrid.Hybrid.model_inputs);
-            let record_hybrid ?(candidates = 0) ?(added = 0) ?(promoted = [])
-                ?regs_after ~concretize ~outcome () =
-              record ~cut_size:hybrid.Hybrid.cut_size
-                ~no_cut:hybrid.Hybrid.no_cut_steps
-                ~min_cut:hybrid.Hybrid.min_cut_steps
-                ~trace_length:(Trace.length abstract_trace)
-                ~cubes:
-                  (2
-                  * List.fold_left
-                      (fun acc h -> acc + Trace.length h.Hybrid.trace)
-                      0 hybrids)
-                ~guidance:(List.length hybrids)
-                ~engine:(engines_to_string config.engines)
-                ~concretize ~candidates ~added ~promoted ?regs_after ~outcome
-                res.Reach.steps
-            in
-            (* Step 3: search on the original design. A failure here is
-               never fatal — an injected or resource failure degrades to
-               a give-up, which escalates the backtrack budget for the
-               next iteration and refines. Ladder per [config.engines]:
-               a give-up is an [Error], so in portfolio mode an ATPG
-               give-up escalates to SAT-guided BMC at the same depth
-               before the loop settles for refinement. *)
-            let guidance = List.map (fun h -> h.Hybrid.trace) hybrids in
-            let as_rung outcome =
-              match outcome with
-              | Concretize.Gave_up r -> Error r
-              | outcome -> Ok outcome
-            in
-            let atpg_rung () =
-              let outcome, _stats =
-                Concretize.guided_any
-                  ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                  ?analysis circuit ~bad ~abstract_traces:guidance
-              in
-              as_rung outcome
-            in
-            let sat_rung () =
-              let outcome, _stats =
-                Sat_bmc.concretize
-                  ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                  (Lazy.force sat_unrolling) ~abstract_traces:guidance
-              in
-              as_rung outcome
-            in
-            let concretize_engine, concretize_rungs =
-              match config.engines with
-              | Atpg_only ->
-                (F.Seq_atpg, [ (Supervisor.Primary, "guided-atpg", atpg_rung) ])
-              | Sat_only ->
-                (F.Sat, [ (Supervisor.Primary, "guided-sat", sat_rung) ])
-              | Portfolio ->
-                ( F.Seq_atpg,
-                  [
-                    (Supervisor.Primary, "guided-atpg", atpg_rung);
-                    (Supervisor.Fallback, "guided-sat", sat_rung);
-                  ] )
-            in
-            (* With the worker pool enabled the portfolio becomes a
-               genuine race: both engines run concurrently in isolated
-               processes and the first conclusive answer wins. The
-               in-process rungs stay on the ladder as fallbacks, so a
-               crashed, hung or babbling worker degrades to the
-               sequential portfolio instead of changing the verdict. *)
-            let concretize_rungs =
-              if not config.proc.Rfn_proc.Proc.enabled then concretize_rungs
-              else begin
-                let race_rung () =
-                  let limits =
-                    Supervisor.concrete_limits sup config.concrete_atpg
-                  in
-                  let engines =
-                    match config.engines with
-                    | Atpg_only -> [ `Atpg ]
-                    | Sat_only -> [ `Sat ]
-                    | Portfolio -> [ `Atpg; `Sat ]
-                  in
-                  match
-                    Racing.concretize ?deadline:limits.Atpg.max_seconds
-                      ~policy:config.proc ~engines ~limits circuit ~bad
-                      ~abstract_traces:guidance
-                  with
-                  | Ok outcome -> as_rung outcome
-                  | Error r -> Error r
-                in
-                (Supervisor.Primary, "race", race_rung)
-                :: List.map
-                     (fun (_, label, thunk) ->
-                       (Supervisor.Fallback, label, thunk))
-                     concretize_rungs
-              end
-            in
-            let concrete =
-              Telemetry.with_span "rfn.concretize" ~attrs (fun () ->
-                  match
-                    Supervisor.run sup ~site:Supervisor.Concretize
-                      ~engine:concretize_engine ~phase:F.Concretization
-                      ~iteration:iter concretize_rungs
-                  with
-                  | Ok outcome -> outcome
-                  | Error failure ->
-                    Concretize.Gave_up failure.F.resource)
-            in
-            Rfn_obs.Sampler.tick "rfn.concretize";
-            let concretize_desc =
-              match concrete with
-              | Concretize.Found _ -> "found"
-              | Concretize.Not_found_here -> "not-found"
-              | Concretize.Gave_up r -> "gave-up:" ^ F.resource_to_string r
-            in
-            let check_concrete_trace ~engine t =
-              check ~iter ~engine ~phase:F.Concretization
-                ~what:"concrete counterexample" (fun () ->
-                  Rfn_lint.Check.trace
-                    (Sview.whole circuit ~roots:[])
-                    ~depth:(Trace.length t) t)
-            in
-            match concrete with
-            | Concretize.Found t ->
-              check_concrete_trace ~engine:concretize_engine t;
-              record_hybrid ~concretize:concretize_desc ~outcome:"falsified"
-                ();
-              Log.info (fun m -> m "concrete counterexample found");
-              finish abstraction (Falsified t)
-            | Concretize.Not_found_here | Concretize.Gave_up _ -> (
-              (match concrete with
-              | Concretize.Gave_up r ->
-                Log.info (fun m ->
-                    m "concretization gave up (%a); escalating backtrack \
-                       budget"
-                      F.pp_resource r);
-                Supervisor.escalate sup
-              | _ -> ());
-              (* Step 4: refine. Ladder: crucial registers, then (on an
-                 empty refinement) the highest-fanout pseudo-input, then
-                 a BMC re-check at the abstract trace's depth. *)
-              let crucial () =
-                let r =
-                  Refine.crucial_registers
-                    ~atpg_limits:
-                      (Supervisor.clamp_limits sup Supervisor.Refine
-                         config.abstract_atpg)
-                    ~bad abstraction ~abstract_trace ()
-                in
-                if r.Refine.kept = [] then Error F.No_refinement
-                else Ok (`Add (r.Refine.kept, List.length r.Refine.candidates))
-              in
-              let highest_fanout () =
-                match Abstraction.pseudo_inputs abstraction with
-                | [] ->
-                  (* no pseudo-inputs means the model is closed: the
-                     abstract trace should have concretized — let the
-                     BMC rung arbitrate *)
-                  Error (F.Invariant "closed abstract model, spurious trace")
-                | ps ->
-                  let fanout s = Array.length circuit.Circuit.fanouts.(s) in
-                  let best =
-                    List.fold_left
-                      (fun a s -> if fanout s > fanout a then s else a)
-                      (List.hd ps) (List.tl ps)
-                  in
-                  Ok (`Add ([ best ], List.length ps))
-              in
-              let bmc_recheck () =
-                match
-                  Bmc.falsify
-                    ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                    circuit ~bad ~max_depth:(Trace.length abstract_trace)
-                with
-                | Bmc.Found t, _ -> Ok (`Cex t)
-                | Bmc.Exhausted, _ -> Error F.No_refinement
-                | Bmc.Gave_up _, _ -> Error F.Backtracks
-              in
-              let sat_recheck () =
-                match
-                  Sat_bmc.falsify
-                    ~limits:(Supervisor.concrete_limits sup config.concrete_atpg)
-                    (Lazy.force sat_unrolling)
-                    ~max_depth:(Trace.length abstract_trace)
-                with
-                | Bmc.Found t, _ -> Ok (`Cex t)
-                | Bmc.Exhausted, _ -> Error F.No_refinement
-                | Bmc.Gave_up _, _ -> Error F.Conflicts
-              in
-              let recheck_rungs =
-                match config.engines with
-                | Atpg_only ->
-                  [ (Supervisor.Fallback, "bmc-recheck", bmc_recheck) ]
-                | Sat_only ->
-                  [ (Supervisor.Fallback, "sat-bmc-recheck", sat_recheck) ]
-                | Portfolio ->
-                  [
-                    (Supervisor.Fallback, "bmc-recheck", bmc_recheck);
-                    (Supervisor.Fallback, "sat-bmc-recheck", sat_recheck);
-                  ]
-              in
-              (* the raced re-check runs first; the in-process twins
-                 remain below it as the no-worker fallback *)
-              let recheck_rungs =
-                if not config.proc.Rfn_proc.Proc.enabled then recheck_rungs
-                else begin
-                  let race_recheck () =
-                    let limits =
-                      Supervisor.concrete_limits sup config.concrete_atpg
-                    in
-                    let engines =
-                      match config.engines with
-                      | Atpg_only -> [ `Bmc ]
-                      | Sat_only -> [ `Sat ]
-                      | Portfolio -> [ `Bmc; `Sat ]
-                    in
-                    match
-                      Racing.falsify ?deadline:limits.Atpg.max_seconds
-                        ~policy:config.proc ~engines ~limits circuit ~bad
-                        ~max_depth:(Trace.length abstract_trace)
-                    with
-                    | Ok (Bmc.Found t) -> Ok (`Cex t)
-                    | Ok Bmc.Exhausted -> Error F.No_refinement
-                    | Ok (Bmc.Gave_up _) -> Error F.Backtracks
-                    | Error r -> Error r
-                  in
-                  (Supervisor.Fallback, "race-recheck", race_recheck)
-                  :: recheck_rungs
-                end
-              in
-              let refine_rungs =
-                (Supervisor.Primary, "crucial-registers", crucial)
-                :: (Supervisor.Fallback, "highest-fanout", highest_fanout)
-                :: recheck_rungs
-              in
-              let refinement =
-                Telemetry.with_span "rfn.refine" ~attrs (fun () ->
-                    Supervisor.run sup ~site:Supervisor.Refine
-                      ~engine:F.Seq_atpg ~phase:F.Refinement ~iteration:iter
-                      refine_rungs)
-              in
-              Rfn_obs.Sampler.tick "rfn.refine";
-              match refinement with
-              | Ok (`Add (regs, candidates)) ->
-                Log.info (fun m ->
-                    m "refining with %d register(s) (%d candidates)"
-                      (List.length regs) candidates);
-                let delta = Session.refine session ~add:regs in
-                Log.debug (fun m ->
-                    m "delta: %d promoted, %d fresh, %d new signals"
-                      (List.length delta.Abstraction.promoted)
-                      (List.length delta.Abstraction.fresh_regs)
-                      delta.Abstraction.new_signals);
-                record_hybrid ~candidates ~added:(List.length regs)
-                  ~promoted:(List.map (Circuit.name circuit) regs)
-                  ~regs_after:
-                    (Abstraction.num_regs (Session.abstraction session))
-                  ~concretize:concretize_desc ~outcome:"refined" ();
-                check ~iter ~engine:F.Cegar ~phase:F.Refinement
-                  ~what:"post-refine varmap" (fun () ->
-                    match Session.varmap session with
-                    | None -> []
-                    | Some vm -> Rfn_lint.Check.varmap vm);
-                iterate (iter + 1)
-              | Ok (`Cex t) ->
-                check_concrete_trace ~engine:F.Seq_atpg t;
-                record_hybrid ~concretize:concretize_desc
-                  ~outcome:"falsified" ();
-                Log.info (fun m ->
-                    m "BMC re-check found a concrete counterexample");
-                finish abstraction (Falsified t)
-              | Error failure ->
-                record_hybrid ~concretize:concretize_desc
-                  ~outcome:
-                    ("aborted:" ^ F.resource_to_string failure.F.resource)
-                  ();
-                finish abstraction (Aborted failure)))
-          | Ok [] ->
-            (* unreachable: the ladder maps [] to an Error *)
-            record ~outcome:"aborted:invariant" res.Reach.steps;
-            finish abstraction
-              (Aborted
-                 (F.make ~iteration:iter ~engine:F.Hybrid
-                    ~phase:F.Trace_extraction
-                    (F.Invariant "hybrid engine returned no abstract traces")))))
-    end
-  in
-  try iterate !start_iter
-  with Check_violation failure ->
-    finish (Session.abstraction session) (Aborted failure)
+  try iterate run start
+  with Check_violation failure -> finish run (Aborted failure)
 
 let verify ?(config = default_config) circuit prop =
   let session = prepare ~config circuit ~roots:(Property.roots prop) in

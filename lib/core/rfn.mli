@@ -1,12 +1,13 @@
 (** RFN: the abstraction-refinement property verifier (Section 2).
 
-    The four-step loop of the paper:
+    The four-step loop of the paper, one function per step over the
+    run's shared state:
 
     + generate the abstract model (a subcircuit; {!Rfn_circuit.Abstraction}),
     + prove the property or find an abstract error trace
       (BDD fixpoint {!Rfn_mc.Reach} + BDD–ATPG hybrid {!Hybrid}),
     + search for a concrete error trace on the original design
-      (guided sequential ATPG, {!Concretize}),
+      (guided sequential ATPG {!Concretize}, or its SAT twin {!Sat_bmc}),
     + refine with crucial registers
       (3-valued simulation + greedy ATPG minimization, {!Refine}),
 
@@ -20,9 +21,12 @@
     grown node budget, a min-cut extraction failure falls back to pure
     pre-image, a concretization give-up escalates the ATPG backtrack
     budget for later iterations, and an empty refinement falls back to
-    the highest-fanout pseudo-input and finally a BMC re-check. Failures
-    that survive the ladders surface as [Aborted] with a structured
-    {!Rfn_failure.t}. *)
+    the highest-fanout pseudo-input and finally a BMC re-check. The
+    Step-3 ladder and the re-check rungs are both built from one engine
+    list ({!engines}); with the worker pool on, a {!Racing} rung over
+    the same engines runs first. Failures that survive the ladders
+    surface as [Aborted] with a structured {!Rfn_failure.t}. Each
+    iteration leaves one {!Rfn_obs.Provenance.t} record. *)
 
 type engines =
   | Atpg_only  (** the paper's engines only: guided sequential ATPG *)
@@ -123,22 +127,10 @@ type config = {
 
 val default_config : config
 
-type iteration = {
-  abstract_regs : int;  (** registers in this iteration's model *)
-  model_inputs : int;  (** free inputs of the model *)
-  cut_size : int option;  (** min-cut inputs, when the hybrid ran *)
-  no_cut_steps : int;  (** hybrid pre-image steps needing no ATPG *)
-  min_cut_steps : int;  (** hybrid steps needing ATPG cube extension *)
-  fixpoint_steps : int;
-  trace_length : int option;  (** abstract trace length, if any *)
-  candidates : int;  (** phase-1 candidates, when refining *)
-  added : int;  (** registers actually added, when refining *)
-}
-
 type stats = {
-  iterations : iteration list;  (** chronological *)
   provenance : Rfn_obs.Provenance.t list;
-      (** chronological; one record per iteration with engine choices,
+      (** chronological; the one per-iteration record: model size,
+          fixpoint steps, hybrid cut and step counts, engine choices,
           refinement deltas and resource gauges — the same records the
           loop emits as ["rfn.iteration"] telemetry events *)
   coi_regs : int;
@@ -151,8 +143,8 @@ type stats = {
   resumed_iterations : int;
       (** iterations skipped because a checkpoint was resumed (0 for a
           fresh run); [provenance] still covers them — the
-          checkpointed tail is prepended — but [iterations] only
-          covers the iterations this process actually ran *)
+          checkpointed records come first — so this run itself ran
+          [List.length provenance - resumed_iterations] iterations *)
 }
 
 type outcome =

@@ -3,6 +3,7 @@ module Rfn = Rfn_core.Rfn
 module Coverage = Rfn_core.Coverage
 module Concretize = Rfn_core.Concretize
 module Atpg = Rfn_atpg.Atpg
+module Provenance = Rfn_obs.Provenance
 
 (* The five Table 1 verification problems. *)
 let table1_problems ~small =
@@ -187,23 +188,20 @@ module Figure1 = struct
     List.concat_map
       (fun (circuit, (prop : Property.t)) ->
         let _, stats = Rfn.verify circuit prop in
-        List.mapi
-          (fun i (it : Rfn.iteration) ->
-            match it.Rfn.cut_size with
-            | Some cut ->
-              [
+        List.filter_map
+          (fun (p : Provenance.t) ->
+            Option.map
+              (fun cut_size ->
                 {
                   experiment = prop.Property.name;
-                  iteration = i + 1;
-                  model_inputs = it.Rfn.model_inputs;
-                  cut_size = cut;
-                  no_cut_steps = it.Rfn.no_cut_steps;
-                  min_cut_steps = it.Rfn.min_cut_steps;
-                };
-              ]
-            | None -> [])
-          stats.Rfn.iterations
-        |> List.concat)
+                  iteration = p.iter;
+                  model_inputs = p.model_inputs;
+                  cut_size;
+                  no_cut_steps = p.no_cut_steps;
+                  min_cut_steps = p.min_cut_steps;
+                })
+              p.cut_size)
+          stats.Rfn.provenance)
       (table1_problems ~small)
 
   let print ppf rows =
@@ -377,20 +375,18 @@ module Refinement = struct
     List.concat_map
       (fun (circuit, (prop : Property.t)) ->
         let _, stats = Rfn.verify circuit prop in
-        List.mapi
-          (fun i (it : Rfn.iteration) ->
-            if it.Rfn.candidates > 0 then
-              [
+        List.filter_map
+          (fun (p : Provenance.t) ->
+            if p.candidates = 0 then None
+            else
+              Some
                 {
                   experiment = prop.Property.name;
-                  iteration = i + 1;
-                  candidates = it.Rfn.candidates;
-                  added = it.Rfn.added;
-                };
-              ]
-            else [])
-          stats.Rfn.iterations
-        |> List.concat)
+                  iteration = p.iter;
+                  candidates = p.candidates;
+                  added = List.length p.promoted;
+                })
+          stats.Rfn.provenance)
       (table1_problems ~small)
 
   let print ppf rows =

@@ -31,19 +31,20 @@ let finding ~pass ~severity ?(signals = []) message =
   { pass; severity; signals; message }
 
 type report = { findings : finding list; passes_run : string list }
-type ctx = { circuit : Circuit.t; props : Property.t list }
-type pass = { name : string; doc : string; run : ctx -> finding list }
 
-(* ---- registry -------------------------------------------------------- *)
+(* What a pass inspects. The two expensive analyses are computed on
+   first use and shared by every pass of one run, so a run performs at
+   most one of each, and a selection that needs neither skips both. *)
+type ctx = {
+  circuit : Circuit.t;
+  props : Property.t list;
+  analysis : Analysis.t Lazy.t;
+      (* proven invariants, quick budget: equiv-reg, onehot-violation *)
+  constants : Sim3v.v array Lazy.t;
+      (* [ternary_fixpoint] values: const-reg, prop-const *)
+}
 
-let registry : pass list ref = ref []
-
-let register p =
-  if List.exists (fun q -> q.name = p.name) !registry then
-    registry := List.map (fun q -> if q.name = p.name then p else q) !registry
-  else registry := !registry @ [ p ]
-
-let passes () = !registry
+type pass = { name : string; run : ctx -> finding list }
 
 (* ---- helpers --------------------------------------------------------- *)
 
@@ -67,7 +68,7 @@ let prop_root props s = List.exists (fun p -> p.Property.bad = s) props
    reachable states, so a concrete entry is a true structural
    constant. Terminates in at most [num_registers + 1] sweeps: each
    sweep either changes nothing or widens at least one register, and
-   widening is one-way. *)
+   widening is one-way. Returns the value of every signal. *)
 let ternary_fixpoint c =
   let view = Sview.whole c ~roots:[] in
   let state = Array.make (Circuit.num_signals c) Sim3v.VX in
@@ -95,7 +96,7 @@ let ternary_fixpoint c =
         | _ -> ())
       c.Circuit.registers
   done;
-  (!values, state)
+  !values
 
 let v_to_string = function
   | Sim3v.V0 -> "0"
@@ -107,10 +108,9 @@ let v_to_string = function
 let pass_const_reg =
   {
     name = "const-reg";
-    doc = "registers whose next-state input is structurally constant";
     run =
-      (fun { circuit = c; _ } ->
-        let values, _ = ternary_fixpoint c in
+      (fun { circuit = c; constants; _ } ->
+        let values = Lazy.force constants in
         Array.to_list c.Circuit.registers
         |> List.filter_map (fun r ->
                match Circuit.node c r with
@@ -135,7 +135,6 @@ let pass_const_reg =
 let pass_self_loop_reg =
   {
     name = "self-loop-reg";
-    doc = "registers clocked from their own output";
     run =
       (fun { circuit = c; _ } ->
         Array.to_list c.Circuit.registers
@@ -155,7 +154,6 @@ let pass_self_loop_reg =
 let pass_dead_input =
   {
     name = "dead-input";
-    doc = "primary inputs that drive no logic";
     run =
       (fun { circuit = c; _ } ->
         Array.to_list c.Circuit.inputs
@@ -172,9 +170,8 @@ let pass_dead_input =
 let pass_floating_gate =
   {
     name = "floating-gate";
-    doc = "gates whose output is read by nothing and declared by nothing";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; _ } ->
         let acc = ref [] in
         for s = Circuit.num_signals c - 1 downto 0 do
           match Circuit.node c s with
@@ -195,9 +192,8 @@ let pass_floating_gate =
 let pass_unreachable =
   {
     name = "unreachable-logic";
-    doc = "logic outside the cone of influence of every output and property";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; _ } ->
         let roots =
           List.map snd c.Circuit.outputs
           @ List.concat_map Property.roots props
@@ -230,7 +226,6 @@ let pass_unreachable =
 let pass_duplicate_gate =
   {
     name = "duplicate-gate";
-    doc = "structurally identical gates (same kind and fanins)";
     run =
       (fun { circuit = c; _ } ->
         let groups : (string, int list) Hashtbl.t = Hashtbl.create 97 in
@@ -273,12 +268,11 @@ let is_reg c s =
 let pass_equiv_reg =
   {
     name = "equiv-reg";
-    doc = "registers inductively proved equivalent to an earlier signal";
     run =
-      (fun { circuit = c; _ } ->
+      (fun { circuit = c; analysis; _ } ->
         if Array.length c.Circuit.registers = 0 then []
         else
-          let a = Analysis.run ~config:Analysis.quick_config c in
+          let a = Lazy.force analysis in
           List.filter_map
             (fun inv ->
               match inv with
@@ -299,14 +293,11 @@ let pass_equiv_reg =
 let pass_onehot_violation =
   {
     name = "onehot-violation";
-    doc =
-      "properties that can only fire by violating a proven one-hot/mutex \
-       register group";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; analysis; _ } ->
         if props = [] || Array.length c.Circuit.registers = 0 then []
         else begin
-          let a = Analysis.run ~config:Analysis.quick_config c in
+          let a = Lazy.force analysis in
           let groups =
             List.filter
               (function
@@ -383,12 +374,11 @@ let pass_onehot_violation =
 let pass_prop_const =
   {
     name = "prop-const";
-    doc = "structurally constant property signals (vacuous verification)";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; constants; _ } ->
         if props = [] then []
         else begin
-          let values, _ = ternary_fixpoint c in
+          let values = Lazy.force constants in
           List.filter_map
             (fun p ->
               let bad = p.Property.bad in
@@ -416,9 +406,8 @@ let pass_prop_const =
 let pass_prop_free_init =
   {
     name = "prop-free-init";
-    doc = "property cones depending on registers with a free initial value";
     run =
-      (fun { circuit = c; props } ->
+      (fun { circuit = c; props; _ } ->
         List.filter_map
           (fun p ->
             let coi = Coi.compute c ~roots:(Property.roots p) in
@@ -443,20 +432,19 @@ let pass_prop_free_init =
           props);
   }
 
-let () =
-  List.iter register
-    [
-      pass_const_reg;
-      pass_self_loop_reg;
-      pass_dead_input;
-      pass_floating_gate;
-      pass_unreachable;
-      pass_duplicate_gate;
-      pass_equiv_reg;
-      pass_onehot_violation;
-      pass_prop_const;
-      pass_prop_free_init;
-    ]
+let passes =
+  [
+    pass_const_reg;
+    pass_self_loop_reg;
+    pass_dead_input;
+    pass_floating_gate;
+    pass_unreachable;
+    pass_duplicate_gate;
+    pass_equiv_reg;
+    pass_onehot_violation;
+    pass_prop_const;
+    pass_prop_free_init;
+  ]
 
 (* ---- driver ---------------------------------------------------------- *)
 
@@ -474,19 +462,25 @@ let c_warnings = Telemetry.counter "lint.warnings"
 let c_info = Telemetry.counter "lint.info"
 
 let run ?only ?(props = []) circuit =
-  let all = passes () in
   let selected =
     match only with
-    | None -> all
+    | None -> passes
     | Some names ->
       List.iter
         (fun n ->
-          if not (List.exists (fun p -> p.name = n) all) then
+          if not (List.exists (fun p -> p.name = n) passes) then
             invalid_arg (Printf.sprintf "Lint.run: unknown pass %S" n))
         names;
-      List.filter (fun p -> List.mem p.name names) all
+      List.filter (fun p -> List.mem p.name names) passes
   in
-  let ctx = { circuit; props } in
+  let ctx =
+    {
+      circuit;
+      props;
+      analysis = lazy (Analysis.run ~config:Analysis.quick_config circuit);
+      constants = lazy (ternary_fixpoint circuit);
+    }
+  in
   let findings = List.concat_map (fun p -> p.run ctx) selected in
   let findings =
     List.stable_sort

@@ -66,45 +66,19 @@ type report = {
   passes_run : string list;
 }
 
-(** The input a pass inspects. *)
-type ctx = {
-  circuit : Rfn_circuit.Circuit.t;
-  props : Rfn_circuit.Property.t list;
-}
-
-type pass = {
-  name : string;
-  doc : string;
-  run : ctx -> finding list;
-}
-
-val register : pass -> unit
-(** Add a pass to the registry. The built-in passes are registered at
-    module initialization; registering a pass with an existing name
-    replaces it. *)
-
-val passes : unit -> pass list
-(** All registered passes, in registration order. *)
-
-val ternary_fixpoint :
-  Rfn_circuit.Circuit.t -> Rfn_sim3v.Sim3v.v array * Rfn_sim3v.Sim3v.v array
-(** [(values, state)] of the ternary constant-propagation fixpoint:
-    registers seeded from their declared initial values ([`Free] as X),
-    primary inputs X, register values widened to X whenever a step
-    disagrees with the accumulated value. A concrete entry in [values]
-    means the signal holds that value in {e every} reachable state (the
-    fixpoint over-approximates reachability); [state] holds the
-    per-register accumulated values. *)
-
 val run :
   ?only:string list ->
   ?props:Rfn_circuit.Property.t list ->
   Rfn_circuit.Circuit.t ->
   report
-(** Run the registered passes ([only] restricts to the named ones;
-    unknown names raise [Invalid_argument]) and bump the [lint.*]
+(** Run the built-in passes in the order listed above ([only]
+    restricts to the named ones; unknown names raise
+    [Invalid_argument]) and bump the [lint.*]
     telemetry counters ([lint.passes_run], [lint.findings],
-    [lint.errors], [lint.warnings], [lint.info]). *)
+    [lint.errors], [lint.warnings], [lint.info]). The invariant
+    analysis and the ternary fixpoint run at most once per call, shared
+    by the passes that need them, and not at all when no selected pass
+    does. *)
 
 val errors : report -> int
 val warnings : report -> int

@@ -6,6 +6,8 @@ type t = {
   fixpoint_steps : int;
   trace_depth : int option;
   cut_size : int option;
+  no_cut_steps : int;
+  min_cut_steps : int;
   cubes : int;
   guidance : int;
   engine : string;
@@ -38,6 +40,8 @@ let to_fields p =
     ("fixpoint_steps", Json.Int p.fixpoint_steps);
     ("trace_depth", opt_int_json p.trace_depth);
     ("cut_size", opt_int_json p.cut_size);
+    ("no_cut_steps", Json.Int p.no_cut_steps);
+    ("min_cut_steps", Json.Int p.min_cut_steps);
     ("cubes", Json.Int p.cubes);
     ("guidance", Json.Int p.guidance);
     ("engine", Json.Str p.engine);
@@ -65,6 +69,11 @@ let of_json j =
     match Option.bind (field name) Json.to_int with
     | Some n -> Ok n
     | None -> missing name
+  in
+  (* for fields added after the first release of the record: absent in
+     old files and checkpoints, read as 0 *)
+  let int_or_zero name =
+    match field name with None -> Ok 0 | Some _ -> int name
   in
   let opt_int name =
     match field name with
@@ -99,6 +108,8 @@ let of_json j =
   let* fixpoint_steps = int "fixpoint_steps" in
   let* trace_depth = opt_int "trace_depth" in
   let* cut_size = opt_int "cut_size" in
+  let* no_cut_steps = int_or_zero "no_cut_steps" in
+  let* min_cut_steps = int_or_zero "min_cut_steps" in
   let* cubes = int "cubes" in
   let* guidance = int "guidance" in
   let* engine = str "engine" in
@@ -108,15 +119,7 @@ let of_json j =
   let* retries = int "retries" in
   let* fallbacks = int "fallbacks" in
   let* injected = int "injected" in
-  (* added after the first release of the record: absent in old files *)
-  let* worker_failures =
-    match field "worker_failures" with
-    | None -> Ok 0
-    | Some v -> (
-      match Json.to_int v with
-      | Some n -> Ok n
-      | None -> missing "worker_failures")
-  in
+  let* worker_failures = int_or_zero "worker_failures" in
   let* bdd_nodes = int "bdd_nodes" in
   let* bdd_peak = int "bdd_peak" in
   let* sat_learned = int "sat_learned" in
@@ -126,9 +129,10 @@ let of_json j =
   Ok
     {
       iter; regs_before; regs_after; model_inputs; fixpoint_steps;
-      trace_depth; cut_size; cubes; guidance; engine; concretize; promoted;
-      candidates; retries; fallbacks; injected; worker_failures; bdd_nodes;
-      bdd_peak; sat_learned; backtracks; seconds; outcome;
+      trace_depth; cut_size; no_cut_steps; min_cut_steps; cubes; guidance;
+      engine; concretize; promoted; candidates; retries; fallbacks; injected;
+      worker_failures; bdd_nodes; bdd_peak; sat_learned; backtracks; seconds;
+      outcome;
     }
 
 (* ---- narrative ------------------------------------------------------- *)

@@ -2,8 +2,9 @@
     answering "why did iteration [k] refine these registers?" after the
     run is gone.
 
-    The CEGAR loop builds one record per iteration and (a) appends it
-    to the run's stats and (b) emits it as an ["rfn.iteration"]
+    The CEGAR loop builds one record per iteration — the run's only
+    per-iteration record, Figure 1's step counts included — and (a)
+    appends it to the run's stats and (b) emits it as an ["rfn.iteration"]
     telemetry event, so a [--metrics-out] JSONL file carries the full
     audit trail. [rfn explain] re-reads that file and replays the
     refinement story ({!pp}).
@@ -12,7 +13,9 @@
     exactly, with two documented exceptions — non-finite floats
     serialize as JSON [null] and parse back as [0.0] (the JSON layer
     cannot represent them), and unknown fields are ignored on input so
-    old readers survive new writers. *)
+    old readers survive new writers. Fields added after the first
+    release ([worker_failures], [no_cut_steps], [min_cut_steps]) read
+    as [0] when absent, so old metrics files and checkpoints load. *)
 
 type t = {
   iter : int;  (** 1-based iteration number *)
@@ -22,6 +25,13 @@ type t = {
   fixpoint_steps : int;  (** abstract-MC image steps *)
   trace_depth : int option;  (** abstract error-trace length, if one was found *)
   cut_size : int option;  (** min-cut width of the extraction, if the hybrid ran *)
+  no_cut_steps : int;
+      (** hybrid pre-image steps solved from no-cut cubes, without ATPG
+          (Figure 1); absent in files written before the field existed
+          and parsed as [0] *)
+  min_cut_steps : int;
+      (** hybrid pre-image steps that needed ATPG cube extension over
+          the min-cut (Figure 1); absent in old files, parsed as [0] *)
   cubes : int;  (** state+input cubes across all guidance traces *)
   guidance : int;  (** abstract guidance traces extracted *)
   engine : string;

@@ -72,6 +72,10 @@ let record g v =
   g.value <- v;
   if v > g.peak then g.peak <- v
 
+let rebase g v =
+  g.value <- v;
+  g.peak <- v
+
 let gauge_value g = g.value
 let gauge_peak g = g.peak
 

@@ -86,6 +86,12 @@ val gauge : string -> gauge
 val record : gauge -> int -> unit
 (** Set the gauge's current value, tracking the peak. *)
 
+val rebase : gauge -> int -> unit
+(** Set the gauge's current value and restart its peak from it — for a
+    gauge whose earlier readings belong to another owner, as a fresh
+    CEGAR run does with [bdd.live_nodes]. Other gauges keep their
+    peaks (unlike {!scope}). *)
+
 val gauge_value : gauge -> int
 val gauge_peak : gauge -> int
 

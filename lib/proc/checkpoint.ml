@@ -166,3 +166,42 @@ let validate ?(job_id = "") t ~netlist_hash ~property =
     Error
       (Printf.sprintf "checkpoint belongs to job %S, not %S" t.job_id job_id)
   else Ok ()
+
+(* ---- one run's checkpoint file --------------------------------------- *)
+
+type run = {
+  file : string;
+  job_id : string;
+  property : string;
+  circuit : Rfn_circuit.Circuit.t;
+  hash : string;
+}
+
+let for_run ?(job_id = "") file circuit ~property =
+  { file; job_id; property; circuit; hash = hash_circuit circuit }
+
+let resume r =
+  let ( let* ) = Result.bind in
+  if not (Sys.file_exists r.file) then Ok None
+  else
+    let* ck = load r.file in
+    let* () =
+      validate ck ~job_id:r.job_id ~netlist_hash:r.hash ~property:r.property
+    in
+    match List.map (Rfn_circuit.Circuit.find r.circuit) ck.regs with
+    | exception Not_found ->
+      Error "a checkpointed register is not in this design"
+    | regs -> Ok (Some (ck, regs))
+
+let persist r ~iteration ~seconds_used ~escalation ~regs ~provenance =
+  let regs = List.map (Rfn_circuit.Circuit.name r.circuit) regs in
+  match
+    save r.file
+      (make ~job_id:r.job_id ~netlist_hash:r.hash ~property:r.property
+         ~iteration ~seconds_used ~escalation ~regs ~provenance ())
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error msg
+
+let retire r =
+  if Sys.file_exists r.file then try Sys.remove r.file with Sys_error _ -> ()

@@ -75,3 +75,36 @@ val validate :
 (** Check a loaded checkpoint against the run about to resume;
     [Error] explains the mismatch (hash, property or job id).
     [job_id] defaults to [""], matching stand-alone checkpoints. *)
+
+(** {1 One run's checkpoint file}
+
+    What [Rfn] uses: name the file once, resume from it at
+    start, persist the loop state at every iteration boundary, retire
+    the file on a conclusive verdict. *)
+
+type run
+
+val for_run :
+  ?job_id:string -> string -> Rfn_circuit.Circuit.t -> property:string -> run
+(** The checkpoint key of one run: file, job id ([""] by default),
+    property and a digest of the netlist (taken once, here). *)
+
+val resume : run -> ((t * int list) option, string) result
+(** [Ok None] when the file does not exist; [Ok (Some (ck, regs))] for
+    a checkpoint that passed {!validate}, its registers resolved to
+    signal ids; [Error] says why an existing file is unusable
+    (unreadable, stale, or naming a register the design lacks). *)
+
+val persist :
+  run ->
+  iteration:int ->
+  seconds_used:float ->
+  escalation:int ->
+  regs:int list ->
+  provenance:Rfn_obs.Provenance.t list ->
+  (unit, string) result
+(** {!save} the loop state before [iteration]; [regs] are signal ids,
+    stored by name. [Error] carries the write failure. *)
+
+val retire : run -> unit
+(** Remove the file, if any. *)

@@ -143,6 +143,27 @@ let deep_bug_design ~width =
   B.output b "bad" bad;
   B.finalize b
 
+(* No registers at all: "bad" is the AND of two inputs. *)
+let and_design () =
+  let b = B.create () in
+  let x = B.input b "x" and y = B.input b "y" in
+  B.output b "bad" (B.and2 b x y);
+  B.finalize b
+
+(* The design zoo the engine differentials share: a proved arbiter, a
+   shallow and a deep falsification, and the small FIFO's two proofs. *)
+let zoo () =
+  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
+  let fc = fifo.Rfn_designs.Fifo.circuit in
+  let of_output name c out = (name, c, Property.of_output c out) in
+  [
+    of_output "arbiter/bad" (arbiter_design ()) "bad";
+    of_output "counter3/at_limit" (counter_design ~width:3 ~limit:7) "at_limit";
+    of_output "deep_bug3/bad" (deep_bug_design ~width:3) "bad";
+    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf);
+    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Random circuits (for qcheck)                                        *)
 (* ------------------------------------------------------------------ *)

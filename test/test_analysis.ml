@@ -332,17 +332,13 @@ let test_wrong_invariant_would_mislead () =
 (* ------------------------------------------------------------------ *)
 
 let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  [
-    ("const_chain/bad", const_chain_design ~k:6, "bad");
-    ("ring/collide", ring_design (), "collide");
-    ("arbiter/bad", Helpers.arbiter_design (), "bad");
-    ("counter3/at_limit", Helpers.counter_design ~width:3 ~limit:7, "at_limit");
-    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad");
-    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf.Property.name);
-    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full.Property.name);
-  ]
+  Helpers.zoo ()
+  @ List.map
+      (fun (name, c, out) -> (name, c, Property.of_output c out))
+      [
+        ("const_chain/bad", const_chain_design ~k:6, "bad");
+        ("ring/collide", ring_design (), "collide");
+      ]
 
 let trace_repr c t = Format.asprintf "%a" (Trace.pp ~names:(Circuit.name c)) t
 
@@ -380,8 +376,7 @@ let test_verify_parity_engines () =
   List.iter
     (fun engines ->
       List.iter
-        (fun (name, circuit, out) ->
-          let prop = Property.of_output circuit out in
+        (fun (name, circuit, prop) ->
           check_parity
             (Printf.sprintf "%s[%s]" name (Rfn.engines_to_string engines))
             (fun () -> base_config ~engines ())
@@ -408,8 +403,8 @@ let test_verify_parity_chaos () =
 
 let test_sat_bmc_with_invariants () =
   List.iter
-    (fun (name, circuit, out) ->
-      let bad = Circuit.output circuit out in
+    (fun (name, circuit, prop) ->
+      let bad = prop.Property.bad in
       let a = Analysis.run circuit in
       let plain, _ =
         Sat_bmc.falsify (Sat_bmc.unrolling circuit ~bad) ~max_depth:10
@@ -468,7 +463,7 @@ let test_const_chain_fewer_iterations () =
         ~config:{ (base_config ~engines:Rfn.Atpg_only ()) with Rfn.analyze }
         c prop
     with
-    | Rfn.Proved, stats -> List.length stats.Rfn.iterations
+    | Rfn.Proved, stats -> List.length stats.Rfn.provenance
     | _ -> Alcotest.fail "const chain must prove"
   in
   let off = run false and on = run true in

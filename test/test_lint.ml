@@ -226,6 +226,60 @@ let test_only_selects_passes () =
     (Invalid_argument "Lint.run: unknown pass \"nope\"") (fun () ->
       ignore (Lint.run ~only:[ "nope" ] c))
 
+(* golden/lint.jsonl: the text and JSON report of every zoo design and
+   committed netlist, all outputs as properties, as recorded when each
+   pass still ran its own analysis. *)
+let test_golden_reports () =
+  let all_outputs c =
+    List.map (fun (n, _) -> Property.of_output c n) c.Circuit.outputs
+  in
+  let cases =
+    List.map (fun (name, c, _) -> (name, c)) (Helpers.zoo ())
+    @ List.map
+        (fun f -> (f, Netlist_io.load (Filename.concat "../examples" f)))
+        [ "fifo.bench"; "passing_token.aag"; "passing_token.aig" ]
+  in
+  let ic = open_in "golden/lint.jsonl" in
+  List.iter
+    (fun (name, c) ->
+      let expected = Rfn_obs.Json.of_string (input_line ic) in
+      let field k =
+        Option.get
+          (Option.bind (Rfn_obs.Json.member k expected) Rfn_obs.Json.to_str)
+      in
+      Alcotest.(check string) (name ^ ": case") name (field "case");
+      let report = Lint.run ~props:(all_outputs c) c in
+      Alcotest.(check string) (name ^ ": text") (field "text")
+        (Format.asprintf "%a" Lint.pp_report report);
+      Alcotest.(check string) (name ^ ": json") (field "json")
+        (Rfn_obs.Json.to_string (Lint.report_to_json c report)))
+    cases;
+  close_in ic
+
+(* The analysis-backed passes share one quick Analysis.run per lint
+   call, and a selection without them runs none. *)
+let test_one_analysis_per_run () =
+  let module Telemetry = Rfn_obs.Telemetry in
+  let c = Bench_io.parse_file (fifo_path ()) in
+  let props =
+    List.map (fun (n, _) -> Property.of_output c n) c.Circuit.outputs
+  in
+  let analysis_runs only =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    ignore (Lint.run ?only ~props c);
+    let n =
+      match Telemetry.span_stats "analysis.run" with
+      | Some (calls, _) -> calls
+      | None -> 0
+    in
+    Telemetry.disable ();
+    Telemetry.reset ();
+    n
+  in
+  Alcotest.(check int) "full run" 1 (analysis_runs None);
+  Alcotest.(check int) "const-reg only" 0 (analysis_runs (Some [ "const-reg" ]))
+
 (* design lints never produce Error severity: errors are reserved for
    property violations, and random Builder designs carry no property *)
 let qcheck_no_errors =
@@ -384,6 +438,9 @@ let tests =
     Alcotest.test_case "golden: deep bug" `Quick test_golden_deep_bug;
     Alcotest.test_case "golden: fifo.bench" `Quick test_golden_fifo;
     Alcotest.test_case "--only selection" `Quick test_only_selects_passes;
+    Alcotest.test_case "golden: zoo and committed netlists" `Quick
+      test_golden_reports;
+    Alcotest.test_case "one analysis per run" `Quick test_one_analysis_per_run;
     qcheck_no_errors;
     Alcotest.test_case "varmap: clean" `Quick test_varmap_clean;
     Alcotest.test_case "varmap: corrupted" `Quick test_varmap_corrupted;

@@ -30,7 +30,7 @@ let check_verify name circuit out expected () =
   | Rfn.Aborted why, _ ->
     Alcotest.fail (name ^ ": aborted: " ^ Rfn_failure.to_string why));
   Alcotest.(check bool) (name ^ ": at least one iteration") true
-    (List.length stats.Rfn.iterations >= 1)
+    (List.length stats.Rfn.provenance >= 1)
 
 let test_arbiter_mutex () =
   let c = Helpers.arbiter_design () in
@@ -65,7 +65,7 @@ let test_cegar_phase_spans () =
   | Rfn.Falsified _ -> Alcotest.fail "fifo: psh_hf should be proved"
   | Rfn.Aborted why ->
     Alcotest.fail ("fifo: aborted: " ^ Rfn_failure.to_string why));
-  let iterations = List.length stats.Rfn.iterations in
+  let iterations = List.length stats.Rfn.provenance in
   Alcotest.(check bool) "fifo refines at least once" true (iterations > 1);
   List.iter
     (fun phase ->

@@ -125,6 +125,8 @@ let sample_provenance =
     fixpoint_steps = 5;
     trace_depth = Some 3;
     cut_size = None;
+    no_cut_steps = 0;
+    min_cut_steps = 0;
     cubes = 8;
     guidance = 1;
     engine = "atpg";
@@ -349,20 +351,6 @@ let config ?(inject = Some (fun _ -> None)) ?(race = false)
     resume;
   }
 
-let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  let of_output name c out = (name, c, Property.of_output c out) in
-  [
-    of_output "arbiter/bad" (Helpers.arbiter_design ()) "bad";
-    of_output "counter3/at_limit"
-      (Helpers.counter_design ~width:3 ~limit:7)
-      "at_limit";
-    of_output "deep_bug3/bad" (Helpers.deep_bug_design ~width:3) "bad";
-    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf);
-    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full);
-  ]
-
 (* Racing introduces scheduling nondeterminism, so the differential
    compares verdicts, not traces: a Falsified trace only has to replay
    on the real design, not equal the sequential one's. *)
@@ -400,7 +388,7 @@ let test_racing_matches_sequential_zoo () =
              circuit prop)
       in
       check_verdicts name circuit prop (run ~race:true, run ~race:false))
-    (zoo ());
+    (Helpers.zoo ());
   Alcotest.(check bool)
     "races actually ran" true
     (counter "race.runs" > races0)
@@ -435,7 +423,7 @@ let test_checkpoint_resume_differential () =
   (* Reference: uninterrupted run. fifo/psh_hf needs >1 iteration, so
      killing after the first leaves real progress behind. *)
   let ref_outcome, ref_stats = Rfn.verify ~config:(config ()) circuit prop in
-  let ref_iters = List.length ref_stats.Rfn.iterations in
+  let ref_iters = List.length ref_stats.Rfn.provenance in
   Alcotest.(check bool) "reference run refines" true (ref_iters > 1);
   (* "Kill" the run after one iteration: the iteration cap aborts it,
      which keeps the checkpoint on disk. *)
@@ -459,12 +447,13 @@ let test_checkpoint_resume_differential () =
   Alcotest.(check bool)
     "resume skipped completed iterations" true
     (stats.Rfn.resumed_iterations > 0);
+  let ran = List.length stats.Rfn.provenance - stats.Rfn.resumed_iterations in
   Alcotest.(check bool)
-    "strictly fewer iterations than a fresh run" true
-    (List.length stats.Rfn.iterations < ref_iters);
-  Alcotest.(check bool)
-    "provenance still covers the whole run" true
-    (List.length stats.Rfn.provenance >= List.length stats.Rfn.iterations);
+    "strictly fewer iterations than a fresh run" true (ran < ref_iters);
+  Alcotest.(check (list int))
+    "provenance covers the whole run, numbered from 1"
+    (List.init (List.length stats.Rfn.provenance) (fun i -> i + 1))
+    (List.map (fun p -> p.Provenance.iter) stats.Rfn.provenance);
   Alcotest.(check bool)
     "conclusive verdict retired the checkpoint" false (Sys.file_exists file)
 

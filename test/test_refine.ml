@@ -131,7 +131,7 @@ let test_rfn_refinement_converges_on_chain () =
   match Rfn_core.Rfn.verify c prop with
   | Rfn_core.Rfn.Proved, stats ->
     Alcotest.(check bool) "several iterations" true
-      (List.length stats.Rfn_core.Rfn.iterations >= 2);
+      (List.length stats.Rfn_core.Rfn.provenance >= 2);
     Alcotest.(check int) "final model has the whole chain" 3
       stats.Rfn_core.Rfn.final_abstract_regs
   | _ -> Alcotest.fail "expected Proved"

@@ -437,21 +437,10 @@ let test_conflict_budget () =
 (* Sat_bmc vs Bmc on the zoo                                           *)
 (* ------------------------------------------------------------------ *)
 
-let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  [
-    ("arbiter/bad", Helpers.arbiter_design (), "bad");
-    ("counter3/at_limit", Helpers.counter_design ~width:3 ~limit:7, "at_limit");
-    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad");
-    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf.Property.name);
-    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full.Property.name);
-  ]
-
 let test_bmc_differential () =
   List.iter
-    (fun (name, circuit, out) ->
-      let bad = Circuit.output circuit out in
+    (fun (name, circuit, prop) ->
+      let bad = prop.Property.bad in
       let max_depth = 12 in
       let atpg, _ = Bmc.falsify circuit ~bad ~max_depth in
       let sat, _ =
@@ -492,7 +481,7 @@ let test_bmc_differential () =
         in
         Alcotest.failf "%s: engines disagree (atpg %s, sat %s)" name
           (show atpg) (show sat))
-    (zoo ())
+    (Helpers.zoo ())
 
 let test_sat_guided_concretize () =
   (* The guided mode must find a concrete trace when handed the
@@ -660,8 +649,7 @@ let test_unrolling_encoded_once () =
   in
   let repeated_queries = ref 0 in
   List.iter
-    (fun (name, circuit, out) ->
-      let prop = Property.of_output circuit out in
+    (fun (name, circuit, prop) ->
       let reference, _, _ = run Rfn.Atpg_only circuit prop in
       List.iter
         (fun engines ->
@@ -701,7 +689,7 @@ let test_unrolling_encoded_once () =
               (label ^ ": frames encoded <= deepest query")
               true (encoded <= deepest))
         [ Rfn.Sat_only; Rfn.Portfolio ])
-    (zoo ());
+    (Helpers.zoo ());
   (* the zoo must hold a run where re-encoding would show *)
   Alcotest.(check bool)
     "some SAT run made several Step-3 queries" true (!repeated_queries > 0)

@@ -420,27 +420,15 @@ let test_server_aiger_design () =
 
 (* ---- batch vs cold differential on the zoo -------------------------- *)
 
-let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  [
-    ("arbiter/bad", Helpers.arbiter_design (), "bad");
-    ( "counter3/at_limit",
-      Helpers.counter_design ~width:3 ~limit:7,
-      "at_limit" );
-    ("deep_bug3/bad", Helpers.deep_bug_design ~width:3, "bad");
-    ("fifo_small/psh_hf", fc, "psh_hf");
-    ("fifo_small/psh_full", fc, "psh_full");
-  ]
-
 let test_batch_matches_cold () =
   (* serialization renumbers signals, so run the cold reference on the
      very circuit the server will parse back — trace literals then
      compare verbatim *)
   let zoo =
     List.map
-      (fun (name, c, out) -> (name, Bench_io.parse (Bench_io.to_string c), out))
-      (zoo ())
+      (fun (name, c, prop) ->
+        (name, Bench_io.parse (Bench_io.to_string c), prop.Property.name))
+      (Helpers.zoo ())
   in
   Telemetry.reset ();
   Telemetry.enable ();

@@ -31,20 +31,6 @@ let config ?(inject = Some (fun _ -> None)) ~reuse () =
     session = { Session.default_policy with Session.reuse };
   }
 
-let zoo () =
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  let fc = fifo.Rfn_designs.Fifo.circuit in
-  let of_output name c out = (name, c, Property.of_output c out) in
-  [
-    of_output "arbiter/bad" (Helpers.arbiter_design ()) "bad";
-    of_output "counter3/at_limit"
-      (Helpers.counter_design ~width:3 ~limit:7)
-      "at_limit";
-    of_output "deep_bug3/bad" (Helpers.deep_bug_design ~width:3) "bad";
-    ("fifo_small/psh_hf", fc, fifo.Rfn_designs.Fifo.psh_hf);
-    ("fifo_small/psh_full", fc, fifo.Rfn_designs.Fifo.psh_full);
-  ]
-
 let trace_literals t =
   ( Array.map Cube.to_list t.Trace.states,
     Array.map Cube.to_list t.Trace.inputs )
@@ -60,7 +46,7 @@ let check_differential ?spec name circuit prop =
   let outcome_inc, stats_inc = run ~reuse:true in
   let outcome_ref, stats_ref = run ~reuse:false in
   let steps stats =
-    List.map (fun it -> it.Rfn.fixpoint_steps) stats.Rfn.iterations
+    List.map (fun p -> p.Rfn_obs.Provenance.fixpoint_steps) stats.Rfn.provenance
   in
   Alcotest.(check (list int))
     (name ^ ": per-iteration fixpoint steps")
@@ -93,7 +79,9 @@ let check_differential ?spec name circuit prop =
       (show outcome_inc) (show outcome_ref)
 
 let test_differential_zoo () =
-  List.iter (fun (name, c, prop) -> check_differential name c prop) (zoo ())
+  List.iter
+    (fun (name, c, prop) -> check_differential name c prop)
+    (Helpers.zoo ())
 
 let test_differential_chaos () =
   (* Every supervised site faults once: the abstract-MC retry becomes a
@@ -106,7 +94,7 @@ let test_differential_chaos () =
   List.iter
     (fun (name, c, prop) ->
       check_differential ~spec:"all" (name ^ "+chaos") c prop)
-    (zoo ());
+    (Helpers.zoo ());
   Alcotest.(check bool)
     "chaos exercised session resets" true
     (resets () > before)
@@ -123,7 +111,9 @@ let test_differential_random () =
          let outcome_inc, stats_inc = run ~reuse:true in
          let outcome_ref, stats_ref = run ~reuse:false in
          let steps stats =
-           List.map (fun it -> it.Rfn.fixpoint_steps) stats.Rfn.iterations
+           List.map
+             (fun p -> p.Rfn_obs.Provenance.fixpoint_steps)
+             stats.Rfn.provenance
          in
          (match (outcome_inc, outcome_ref) with
          | Rfn.Proved, Rfn.Proved -> ()
@@ -233,7 +223,7 @@ let test_session_counters () =
    with
   | Rfn.Proved, stats ->
     Alcotest.(check bool) "fifo refines at least once" true
-      (List.length stats.Rfn.iterations > 1)
+      (List.length stats.Rfn.provenance > 1)
   | _ -> Alcotest.fail "fifo psh_hf should be proved");
   Alcotest.(check bool) "cones were reused" true
     (v "session.cones_reused" > reused0);
