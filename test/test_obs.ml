@@ -360,6 +360,9 @@ let test_verify_emits_provenance () =
   (match outcome with
   | Rfn.Proved -> ()
   | _ -> Alcotest.fail "fifo psh_hf must prove");
+  (* rfnbench's mc.image_p90_s reads this histogram *)
+  Alcotest.(check bool) "image steps timed in mc.image_seconds" true
+    (Telemetry.histogram_count (Telemetry.histogram "mc.image_seconds") > 0);
   let streamed =
     List.filter_map
       (fun l ->

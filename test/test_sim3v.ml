@@ -239,6 +239,68 @@ let test_packed_zoo_differential () =
     "packed evaluation is counted in sim.packed_words" true
     (Telemetry.counter_value c_words > before)
 
+(* The bit-parallel evaluator must keep paying for itself: the same
+   pseudo-random pattern set on fifo_small, simulated one pattern at a
+   time by [Sim3v.run] and [Packed.lanes] patterns per word by
+   [Packed.run], must agree on lane 0 and run at least 8x faster packed.
+   The measured speedup is about 25x; each side takes its best of three
+   timings so a noisy host does not fail the floor. *)
+let test_packed_speedup () =
+  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
+  let c = fifo.Rfn_designs.Fifo.circuit in
+  let view = Sview.whole c ~roots:(List.map snd c.Circuit.outputs) in
+  let runs = 4 and cycles = 16 in
+  let patterns = runs * Packed.lanes in
+  let init_at p r = tern (Hashtbl.hash (p, 'r', r)) in
+  let input_at p cycle s = tern (Hashtbl.hash (p, cycle, s)) in
+  let best_of_3 f =
+    let timed () =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      (Unix.gettimeofday () -. t0, r)
+    in
+    let t1, r = timed () in
+    let t2, _ = timed () in
+    let t3, _ = timed () in
+    (Float.min t1 (Float.min t2 t3), r)
+  in
+  let t_packed, pvecs =
+    best_of_3 (fun () ->
+        Array.init runs (fun run ->
+            let p lane = (run * Packed.lanes) + lane in
+            Packed.run view
+              ~init:(fun r -> Packed.of_fun (fun lane -> init_at (p lane) r))
+              ~inputs:(fun ~cycle s ->
+                Packed.of_fun (fun lane -> input_at (p lane) cycle s))
+              ~cycles))
+  in
+  let t_scalar, lane0 =
+    best_of_3 (fun () ->
+        let frames p =
+          Sim3v.run view ~init:(init_at p)
+            ~inputs:(fun ~cycle s -> input_at p cycle s)
+            ~cycles
+        in
+        let lane0 = frames 0 in
+        for p = 1 to patterns - 1 do
+          ignore (frames p)
+        done;
+        lane0)
+  in
+  Array.iteri
+    (fun cyc frame ->
+      Array.iteri
+        (fun s v ->
+          if Packed.read_lane pvecs.(0).(cyc) s ~lane:0 <> v then
+            Alcotest.failf "signal %s diverges at cycle %d" (Circuit.name c s)
+              cyc)
+        frame)
+    lane0;
+  let speedup = t_scalar /. Float.max t_packed 1e-9 in
+  Alcotest.(check bool)
+    (Printf.sprintf "packed %.1fx faster than scalar (floor 8x)" speedup)
+    true (speedup >= 8.0)
+
 let tests =
   [
     Alcotest.test_case "ternary gate semantics" `Quick test_gate_semantics;
@@ -251,6 +313,7 @@ let tests =
     packed_differential;
     Alcotest.test_case "packed zoo differential" `Quick
       test_packed_zoo_differential;
+    Alcotest.test_case "packed speedup floor" `Slow test_packed_speedup;
   ]
 
 let () = Alcotest.run "sim3v" [ ("sim3v", tests) ]
