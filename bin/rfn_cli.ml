@@ -20,6 +20,15 @@ let load path =
   | Failure msg -> Error msg
   | Sys_error msg -> Error msg
 
+(* Write a user-named output file: an I/O failure (a missing
+   directory, no permission) is a user error, exit 1; [ok] otherwise. *)
+let write_out ~ok f =
+  match f () with
+  | () -> ok
+  | exception Sys_error msg ->
+    Format.eprintf "error: %s@." msg;
+    1
+
 let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
     ~inject ~race ~checkpoint ~resume =
   let proc =
@@ -291,17 +300,19 @@ let verify_cmd =
         | Rfn.Falsified trace ->
           Format.printf "RESULT: False — %d-cycle error trace@."
             (Trace.length trace - 1);
+          let pp_trace ppf =
+            Format.fprintf ppf "%a@." (Trace.pp ~names:(Circuit.name circuit))
+              trace
+          in
           (match trace_out with
           | Some file ->
-            let oc = open_out file in
-            let ppf = Format.formatter_of_out_channel oc in
-            Format.fprintf ppf "%a@."
-              (Trace.pp ~names:(Circuit.name circuit))
-              trace;
-            close_out oc
+            write_out ~ok:2 (fun () ->
+                let oc = open_out file in
+                pp_trace (Format.formatter_of_out_channel oc);
+                close_out oc)
           | None ->
-            Format.printf "%a@." (Trace.pp ~names:(Circuit.name circuit)) trace);
-          2
+            pp_trace Format.std_formatter;
+            2)
         | Rfn.Aborted why ->
           Format.printf "RESULT: inconclusive (%s)@."
             (Rfn_failure.to_string why);
@@ -350,7 +361,7 @@ let coverage_cmd =
           1
         | Ok () ->
         with_telemetry ~profile @@ fun () ->
-        let report =
+        match
           if bfs then
             Coverage.bfs_analysis ~k:bfs_k ~max_seconds:budget circuit
               ~coverage
@@ -363,7 +374,12 @@ let coverage_cmd =
                   max_iterations = 1_000;
                 }
               circuit ~coverage
-        in
+        with
+        | exception Invalid_argument msg ->
+          (* a coverage set that is not registers, or too large *)
+          Format.eprintf "error: %s@." msg;
+          1
+        | report ->
         Format.printf
           "%d coverage states: %d unreachable, %d proven reachable, %d \
            unknown (%.2fs; abstract model %d registers)@."
@@ -449,7 +465,10 @@ let bmc_cmd =
           | `Sat ->
             let outcome, stats =
               Rfn_core.Sat_bmc.(
-                falsify ~limits (unrolling ?analysis circuit ~bad)
+                falsify ~limits
+                  (unrolling ?analysis
+                     ~check:(Rfn_lint.Check.env_enabled ())
+                     circuit ~bad)
                   ~max_depth:depth)
             in
             ( outcome,
@@ -629,8 +648,8 @@ let analyze_cmd =
             a.Analysis.stats.Analysis.proved a.Analysis.stats.Analysis.refuted
             a.Analysis.stats.Analysis.unknown a.Analysis.seconds
         end;
-        (match merge with
-        | None -> ()
+        match merge with
+        | None -> 0
         | Some file ->
           let merged, _, applied =
             Opt.merge_equivalences circuit (Analysis.equiv_pairs a)
@@ -640,10 +659,10 @@ let analyze_cmd =
             applied
             (Circuit.num_signals circuit)
             (Circuit.num_signals merged);
-          Netlist_io.save
-            ~bads:(List.map fst merged.Circuit.outputs)
-            file merged);
-        0)
+          write_out ~ok:0 (fun () ->
+              Netlist_io.save
+                ~bads:(List.map fst merged.Circuit.outputs)
+                file merged))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -679,14 +698,16 @@ let simplify_cmd =
         report.Opt.gates_before report.Opt.gates_after
         report.Opt.registers_before report.Opt.registers_after
         report.Opt.constants_folded;
-      (match out with
+      match out with
       | Some file ->
         (* the extension picks the writer, so `simplify -o x.aig`
            converts between front-end formats as a side effect *)
-        Netlist_io.save ~bads:(List.map fst circuit'.Circuit.outputs) file
-          circuit'
-      | None -> print_string (Bench_io.to_string circuit'));
-      0
+        write_out ~ok:0 (fun () ->
+            Netlist_io.save ~bads:(List.map fst circuit'.Circuit.outputs) file
+              circuit')
+      | None ->
+        print_string (Bench_io.to_string circuit');
+        0
   in
   Cmd.v
     (Cmd.info "simplify"

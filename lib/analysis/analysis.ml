@@ -133,52 +133,6 @@ let holds t ~state ~values =
     t.invariants
 
 (* ------------------------------------------------------------------ *)
-(* Ternary constant fixpoint (abstract interpretation, constant       *)
-(* domain): start from every register with a concrete initial value    *)
-(* and drop any whose next-state function, evaluated with candidates   *)
-(* at their initial values and everything else X, can move.            *)
-(* ------------------------------------------------------------------ *)
-
-let ternary_constants c =
-  let n = Circuit.num_signals c in
-  let candidate = Bitset.create n in
-  Array.iter
-    (fun r ->
-      match Circuit.node c r with
-      | Circuit.Reg { init = `Zero | `One; _ } -> Bitset.add candidate r
-      | _ -> ())
-    c.Circuit.registers;
-  let init_value r = Circuit.initial_state c ~free:(fun _ -> false) r in
-  let values = Array.make n Sim3v.VX in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun s ->
-        values.(s) <-
-          (match Circuit.node c s with
-          | Circuit.Input -> Sim3v.VX
-          | Circuit.Const b -> Sim3v.of_bool b
-          | Circuit.Reg _ ->
-            if Bitset.mem candidate s then Sim3v.of_bool (init_value s)
-            else Sim3v.VX
-          | Circuit.Gate (kind, fanins) ->
-            Sim3v.eval_gate kind (fun x -> values.(x)) fanins))
-      c.Circuit.topo;
-    Bitset.iter
-      (fun r ->
-        match Circuit.node c r with
-        | Circuit.Reg { next; _ } ->
-          if values.(next) <> Sim3v.of_bool (init_value r) then begin
-            Bitset.remove candidate r;
-            changed := true
-          end
-        | _ -> ())
-      candidate
-  done;
-  candidate
-
-(* ------------------------------------------------------------------ *)
 (* Packed random simulation: signatures and register value words       *)
 (* ------------------------------------------------------------------ *)
 
@@ -497,7 +451,7 @@ let run ?(config = default_config) c =
         | Some b -> Telemetry.now () -. started > b
         | None -> false
       in
-      let const_regs = ternary_constants c in
+      let const_regs, _ = Rfn_circuit.Opt.constant_registers c in
       let runs = simulate config c in
       let const_candidates =
         List.filter_map

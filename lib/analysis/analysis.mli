@@ -4,19 +4,19 @@
     {e proven} facts about the design's reachable states:
 
     - an abstract-interpretation fixpoint over a per-register product
-      domain — ternary constants (generalizing the lint [const-reg]
-      prop), Boolean implication pairs, and one-hot / mutex register
-      groups,
+      domain — ternary constants ({!Rfn_circuit.Opt.constant_registers},
+      the fixpoint behind the lint [const-reg] pass), Boolean
+      implication pairs, and one-hot / mutex register groups,
     - a SAT-sweeping pass: structural signatures from
       {!Rfn_sim3v.Sim3v.Packed} random-pattern simulation propose gate
       and register equivalence candidates.
 
-    Simulation and the ternary fixpoint only {e propose}. Every
-    candidate is then checked {e inductively} on the concrete design
-    with the in-house {!Rfn_sat.Solver} — base case on a one-frame
-    unrolling clamped to the initial states, inductive step by mutual
-    induction on a two-frame free-initial unrolling, iterated van
-    Eijk-style (refuted candidates drop out of the hypothesis set and
+    Simulation and {!Rfn_circuit.Opt.constant_registers} only
+    {e propose}. Every candidate is then checked {e inductively} on the
+    concrete design with the in-house {!Rfn_sat.Solver} — base case on
+    a one-frame unrolling clamped to the initial states, inductive step
+    by mutual induction on a two-frame free-initial unrolling, iterated
+    van Eijk-style (refuted candidates drop out of the hypothesis set and
     the survivors are re-checked until a full pass holds). Candidates
     that do not survive — including solver time-outs — are dropped,
     never trusted: {!invariants} holds proven facts only.

@@ -22,6 +22,15 @@ val eval : kind -> (int -> bool) -> int array -> bool
 (** [eval kind value fanins] evaluates the gate given the values of its
     fanin signals. *)
 
+type ternary = V0 | V1 | VX
+(** Three-valued signal values: 0, 1 and unknown. *)
+
+val eval3 : kind -> (int -> ternary) -> int array -> ternary
+(** Ternary gate semantics, the one shared by every three-valued
+    engine ([Sim3v], [Opt.constant_registers]): the output is concrete
+    whenever the concrete fanins determine it (one 0 on an AND, a MUX
+    whose data inputs agree), otherwise X. *)
+
 val to_string : kind -> string
 
 val of_string : string -> kind option

@@ -8,62 +8,12 @@ type report = {
   constants_folded : int;
 }
 
-(* Local ternary evaluation (0 / 1 / 2 = unknown); the simulator
-   library depends on this one, so the few lines are duplicated rather
-   than inverting the dependency. *)
-let tnot = function 0 -> 1 | 1 -> 0 | _ -> 2
-
-let teval kind value (fanins : int array) =
-  let fold_and () =
-    let r = ref 1 in
-    Array.iter
-      (fun f ->
-        match value f with 0 -> r := 0 | 2 -> if !r = 1 then r := 2 | _ -> ())
-      fanins;
-    !r
-  in
-  let fold_or () =
-    let r = ref 0 in
-    Array.iter
-      (fun f ->
-        match value f with 1 -> r := 1 | 2 -> if !r = 0 then r := 2 | _ -> ())
-      fanins;
-    !r
-  in
-  let fold_xor () =
-    let r = ref 0 in
-    Array.iter
-      (fun f ->
-        match (value f, !r) with
-        | 2, _ -> r := 2
-        | _, 2 -> ()
-        | 1, p -> r := tnot p
-        | _, _ -> ())
-      fanins;
-    !r
-  in
-  match kind with
-  | Gate.And -> fold_and ()
-  | Gate.Nand -> tnot (fold_and ())
-  | Gate.Or -> fold_or ()
-  | Gate.Nor -> tnot (fold_or ())
-  | Gate.Xor -> fold_xor ()
-  | Gate.Xnor -> tnot (fold_xor ())
-  | Gate.Not -> tnot (value fanins.(0))
-  | Gate.Buf -> value fanins.(0)
-  | Gate.Mux -> (
-    match value fanins.(0) with
-    | 0 -> value fanins.(1)
-    | 1 -> value fanins.(2)
-    | _ ->
-      let d0 = value fanins.(1) and d1 = value fanins.(2) in
-      if d0 = d1 && d0 <> 2 then d0 else 2)
-
 (* Registers provably stuck at their initial value: start from every
    register with a concrete initial value and iteratively drop any
    whose next-state function, evaluated with candidates at their
    initial values and everything else unknown, is not that same value.
-   (Ternary evaluation makes this a sound greatest fixpoint.) *)
+   (Ternary evaluation makes this a sound greatest fixpoint.) The
+   values of the last sweep are every signal's value at the fixpoint. *)
 let constant_registers c =
   let n = Circuit.num_signals c in
   let candidate = Bitset.create n in
@@ -73,36 +23,37 @@ let constant_registers c =
       | Circuit.Reg { init = `Zero | `One; _ } -> Bitset.add candidate r
       | _ -> ())
     c.Circuit.registers;
-  let init_value r = Circuit.initial_state c ~free:(fun _ -> false) r in
+  let init_value r =
+    if Circuit.initial_state c ~free:(fun _ -> false) r then Gate.V1
+    else Gate.V0
+  in
   let changed = ref true in
-  let values = Array.make n 2 in
+  let values = Array.make n Gate.VX in
   while !changed do
     changed := false;
     Array.iter
       (fun s ->
         values.(s) <-
           (match Circuit.node c s with
-          | Circuit.Input -> 2
-          | Circuit.Const b -> if b then 1 else 0
+          | Circuit.Input -> Gate.VX
+          | Circuit.Const b -> if b then Gate.V1 else Gate.V0
           | Circuit.Reg _ ->
-            if Bitset.mem candidate s then if init_value s then 1 else 0
-            else 2
+            if Bitset.mem candidate s then init_value s else Gate.VX
           | Circuit.Gate (kind, fanins) ->
-            teval kind (fun x -> values.(x)) fanins))
+            Gate.eval3 kind (fun x -> values.(x)) fanins))
       c.Circuit.topo;
     Bitset.iter
       (fun r ->
         match Circuit.node c r with
         | Circuit.Reg { next; _ } ->
-          let expected = if init_value r then 1 else 0 in
-          if values.(next) <> expected then begin
+          if values.(next) <> init_value r then begin
             Bitset.remove candidate r;
             changed := true
           end
         | _ -> ())
       candidate
   done;
-  candidate
+  (candidate, values)
 
 (* Observable signals: the cones of the declared outputs, crossing
    registers. A design without outputs keeps everything. *)
@@ -130,7 +81,7 @@ let observable c =
     set
 
 let simplify c =
-  let stuck = constant_registers c in
+  let stuck, _ = constant_registers c in
   let keep = observable c in
   let b = B.create () in
   (* old signal -> simplified signal in the new builder *)

@@ -9,8 +9,8 @@
       MUX with a constant select collapses, XOR drops 0 fanins...),
     - duplicate fanins collapse where idempotence allows (AND/OR),
     - single-fanin AND/OR/BUF chains dissolve,
-    - registers whose next-state input is their own output and whose
-      initial value is concrete become constants,
+    - registers stuck at their concrete initial value
+      ({!constant_registers}) become constants,
     - gates driving nothing observable are dropped.
 
     Observability is defined by the declared outputs plus all register
@@ -30,6 +30,19 @@ val simplify : Circuit.t -> Circuit.t * (int -> int option) * report
     identifiers to surviving new ones ([None] if the signal was swept
     or folded into a constant), and statistics. Declared outputs are
     always preserved (rewired to their simplified drivers). *)
+
+val constant_registers : Circuit.t -> Bitset.t * Gate.ternary array
+(** The constant-register greatest fixpoint shared by {!simplify},
+    [Analysis.run] and lint's [const-reg] / [prop-const] passes.
+    Candidates start as every register with a concrete initial value;
+    the whole design is evaluated ternary ({!Gate.eval3}) with
+    candidates at their initial values and inputs, free-initial and
+    dropped registers X, and a candidate whose next-state value differs
+    from its initial value is dropped, until nothing changes. Returns
+    the surviving registers — each holds its initial value in every
+    reachable state — and every signal's value in the last sweep: a
+    concrete value there is the signal's value in every reachable state
+    under every input. *)
 
 val merge_equivalences :
   Circuit.t -> (int * int * bool) list -> Circuit.t * (int -> int option) * int

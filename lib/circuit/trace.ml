@@ -13,13 +13,16 @@ let state t i = t.states.(i)
 let input t i =
   if i < Array.length t.inputs then t.inputs.(i) else Cube.empty
 
-let constraint_cubes t =
-  Array.mapi
-    (fun i st ->
-      match Cube.meet st (input t i) with
-      | Some c -> c
-      | None -> invalid_arg "Trace.constraint_cubes: state/input conflict")
-    t.states
+let pins t =
+  let pins = ref [] in
+  for j = 0 to length t - 1 do
+    let add cube =
+      List.iter (fun (s, v) -> pins := (j, s, v) :: !pins) (Cube.to_list cube)
+    in
+    add (state t j);
+    add (input t j)
+  done;
+  !pins
 
 let pp ~names ppf t =
   Format.fprintf ppf "@[<v>";

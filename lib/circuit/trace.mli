@@ -10,7 +10,7 @@
     States and inputs may be *partial*: an abstract error trace only
     pins the signals the symbolic engines determined; everything else
     is a don't-care. Concrete replay of a trace lives in the simulator
-    library ([Sim3v.replay]). *)
+    library ([Rfn_sim3v.Sim3v.replay]). *)
 
 type t = { states : Cube.t array; inputs : Cube.t array }
 (** Invariant: with [k] states, there are [k - 1] or [k] input cubes.
@@ -32,11 +32,10 @@ val input : t -> int -> Cube.t
 (** [input t i]; empty cube when [i = length - 1] and no final-cycle
     witness was recorded. *)
 
-val constraint_cubes : t -> Cube.t array
-(** Per-cycle constraint cubes for guided ATPG: element [i] merges
-    [state t i] with [input t i] (the last element is just the final
-    state cube). Raises [Invalid_argument] if a state cube conflicts
-    with its input cube (cannot happen for traces built by the engines,
-    since states constrain registers and inputs constrain inputs). *)
+val pins : t -> (int * int * bool) list
+(** Every literal of the trace as a [(cycle, signal, value)] pin, from
+    the state and input cubes of each cycle — the form guided ATPG and
+    the SAT concretizer take as assumptions. Ordered last cycle first,
+    within a cycle input literals before state literals. *)
 
 val pp : names:(int -> string) -> Format.formatter -> t -> unit

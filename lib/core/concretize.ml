@@ -12,19 +12,6 @@ type outcome =
   | Not_found_here
   | Gave_up of Rfn_failure.resource
 
-let trace_pins trace =
-  let pins = ref [] in
-  for j = 0 to Trace.length trace - 1 do
-    let add cube =
-      List.iter
-        (fun (s, v) -> pins := (j, s, v) :: !pins)
-        (Cube.to_list cube)
-    in
-    add (Trace.state trace j);
-    add (Trace.input trace j)
-  done;
-  !pins
-
 let run ~limits circuit ~bad ~frames ~pins =
   Telemetry.incr c_attempts;
   Telemetry.with_span "concretize.atpg"
@@ -49,7 +36,7 @@ let run ~limits circuit ~bad ~frames ~pins =
 
 let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
     ~abstract_trace =
-  let pins = trace_pins abstract_trace in
+  let pins = Trace.pins abstract_trace in
   (* Don't-care pre-filter: the concrete search runs from the initial
      states, so its every cycle is a reachable state; guidance pins
      that contradict a proven invariant cannot be met by any such
@@ -90,7 +77,7 @@ let guided_to_trace ?(limits = Atpg.default_limits) circuit ~abstract_trace =
   match
     Atpg.solve ~limits view
       ~frames:(Trace.length abstract_trace)
-      ~pins:(trace_pins abstract_trace) ()
+      ~pins:(Trace.pins abstract_trace) ()
   with
   | Atpg.Sat t, stats -> (Found t, stats)
   | Atpg.Unsat, stats -> (Not_found_here, stats)

@@ -81,28 +81,7 @@ let mark_unreachable vm ~coverage ~status proj =
 (* Concrete replay of a found trace, marking every coverage state the
    design visits along the way as reachable. *)
 let mark_reachable circuit ~coverage ~status trace =
-  let view = Sview.whole circuit ~roots:[] in
-  let k = Trace.length trace in
-  let init r =
-    Sim3v.Packed.splat
-      (match Circuit.node circuit r with
-      | Circuit.Reg { init = `Zero; _ } -> Sim3v.V0
-      | Circuit.Reg { init = `One; _ } -> Sim3v.V1
-      | Circuit.Reg { init = `Free; _ } -> (
-        match Cube.value (Trace.state trace 0) r with
-        | Some b -> Sim3v.of_bool b
-        | None -> Sim3v.V0)
-      | _ -> Sim3v.VX)
-  in
-  let inputs ~cycle s =
-    Sim3v.Packed.splat
-      (if cycle < k then
-         match Cube.value (Trace.input trace cycle) s with
-         | Some b -> Sim3v.of_bool b
-         | None -> Sim3v.V0
-       else Sim3v.V0)
-  in
-  let frames = Sim3v.Packed.run view ~init ~inputs ~cycles:(k - 1) in
+  let frames = Sim3v.replay circuit trace in
   let marked = ref 0 in
   Array.iter
     (fun vec ->

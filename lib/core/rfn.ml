@@ -759,7 +759,8 @@ let verify_in_session ?(config = default_config) session prop =
   in
   let bad = prop.Property.bad in
   let coi = Coi.compute circuit ~roots:(Property.roots prop) in
-  let unrolling = lazy (Sat_bmc.unrolling ?analysis circuit ~bad) in
+  let check = config.check_invariants in
+  let unrolling = lazy (Sat_bmc.unrolling ?analysis ~check circuit ~bad) in
   let checkpoint =
     Option.map
       (fun file ->
@@ -783,7 +784,7 @@ let verify_in_session ?(config = default_config) session prop =
           circuit ~bad config.engines;
       racers =
         engine_list
-          ~unrolling:(fun () -> Sat_bmc.unrolling circuit ~bad)
+          ~unrolling:(fun () -> Sat_bmc.unrolling ~check circuit ~bad)
           circuit ~bad config.engines;
       checkpoint;
       started;

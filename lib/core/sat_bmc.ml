@@ -15,33 +15,6 @@ let limits_of_atpg (l : Atpg.limits) =
   { Solver.max_conflicts = l.Atpg.max_backtracks;
     max_seconds = l.Atpg.max_seconds }
 
-(* Pins of an abstract trace, cycle by cycle (the cubes only constrain
-   registers and inputs, both of which have frame literals on the whole
-   design). *)
-let trace_pins trace =
-  let pins = ref [] in
-  for j = 0 to Trace.length trace - 1 do
-    let add cube =
-      List.iter
-        (fun (s, v) -> pins := (j, s, v) :: !pins)
-        (Cube.to_list cube)
-    in
-    add (Trace.state trace j);
-    add (Trace.input trace j)
-  done;
-  !pins
-
-(* CNF sanity + assumption-pin totality under RFN_CHECK: returns the
-   violation message instead of raising, so the BMC loops can degrade
-   into their give-up outcomes. *)
-let unrolling_violation ~what unr ~pins =
-  if not (Check.env_enabled ()) then None
-  else
-    match Check.ensure ~what (Check.cnf unr @ Check.pins unr pins) with
-    | () -> None
-    | exception Check.Violation (w, fs) ->
-      Some (Check.violation_message w fs)
-
 (* One unrolling of the concrete cone of [bad], shared by every call
    handed it: frames are encoded once and only ever appended, and the
    solver keeps its learned clauses between calls. *)
@@ -49,12 +22,24 @@ type unrolling = {
   circuit : Circuit.t;
   bad : int;
   analysis : Rfn_analysis.Analysis.t option;
+  check : bool;
   unr : Cnf.t;
 }
 
-let unrolling ?analysis circuit ~bad =
+let unrolling ?analysis ~check circuit ~bad =
   let unr = Cnf.create (Sview.whole circuit ~roots:[ bad ]) in
-  { circuit; bad; analysis; unr }
+  { circuit; bad; analysis; check; unr }
+
+(* CNF sanity + assumption-pin totality when the unrolling checks
+   invariants: returns the violation message instead of raising, so
+   the BMC loops can degrade into their give-up outcomes. *)
+let unrolling_violation ~what u ~pins =
+  if not u.check then None
+  else
+    match Check.ensure ~what (Check.cnf u.unr @ Check.pins u.unr pins) with
+    | () -> None
+    | exception Check.Violation (w, fs) ->
+      Some (Check.violation_message w fs)
 
 (* Encode up to [frames] frames. Persistent invariant clauses: the
    unrolling starts from the initial states (frame-0 registers clamped),
@@ -93,7 +78,7 @@ let falsify ?(limits = Atpg.default_limits) u ~max_depth =
     if depth > max_depth then Bmc.Exhausted
     else begin
       deepen u ~frames:depth;
-      match unrolling_violation ~what:"sat_bmc.falsify unrolling" unr ~pins:[]
+      match unrolling_violation ~what:"sat_bmc.falsify unrolling" u ~pins:[]
       with
       | Some _ ->
         (* the violation is on the check.* counters and the sink *)
@@ -136,9 +121,11 @@ let concretize ?(limits = Atpg.default_limits) u ~abstract_traces =
     | tr :: rest -> (
       let frames = Trace.length tr in
       deepen u ~frames;
-      let pins = trace_pins tr in
+      (* trace cubes pin only registers and inputs, both of which have
+         frame literals on the whole design *)
+      let pins = Trace.pins tr in
       match
-        unrolling_violation ~what:"sat_bmc.concretize unrolling" unr ~pins
+        unrolling_violation ~what:"sat_bmc.concretize unrolling" u ~pins
       with
       | Some msg -> Concretize.Gave_up (Rfn_failure.Invariant msg)
       | None -> (

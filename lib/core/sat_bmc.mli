@@ -44,10 +44,15 @@ type unrolling
 
 val unrolling :
   ?analysis:Rfn_analysis.Analysis.t ->
+  check:bool ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
   unrolling
 (** An unrolling with no frames yet, starting from the initial states.
+    With [check], every {!falsify} and {!concretize} call first checks
+    the CNF and its assumption pins ({!Rfn_lint.Check.cnf},
+    {!Rfn_lint.Check.pins}) and gives up on a violation; [Rfn] passes
+    [config.check_invariants].
     [analysis] asserts the proven invariants as persistent clauses at
     every frame it encodes ({!Rfn_analysis.Analysis.assume_frame}) —
     sound because every frame of an unrolling from the initial states

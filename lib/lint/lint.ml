@@ -4,6 +4,7 @@ module Gate = Rfn_circuit.Gate
 module Coi = Rfn_circuit.Coi
 module Sview = Rfn_circuit.Sview
 module Bitset = Rfn_circuit.Bitset
+module Opt = Rfn_circuit.Opt
 module Sim3v = Rfn_sim3v.Sim3v
 module Cnf = Rfn_sat.Cnf
 module Solver = Rfn_sat.Solver
@@ -41,7 +42,7 @@ type ctx = {
   analysis : Analysis.t Lazy.t;
       (* proven invariants, quick budget: equiv-reg, onehot-violation *)
   constants : Sim3v.v array Lazy.t;
-      (* [ternary_fixpoint] values: const-reg, prop-const *)
+      (* [Opt.constant_registers] values: const-reg, prop-const *)
 }
 
 type pass = { name : string; run : ctx -> finding list }
@@ -60,43 +61,6 @@ let name_list ?(cap = 8) c signals =
 
 let declared_output c s = List.exists (fun (_, x) -> x = s) c.Circuit.outputs
 let prop_root props s = List.exists (fun p -> p.Property.bad = s) props
-
-(* Ternary constant propagation over the whole design: registers start
-   from their declared initial values ([`Free] as X), primary inputs
-   stay X, and a register's accumulated value widens to X as soon as
-   any step disagrees with it. The result over-approximates the set of
-   reachable states, so a concrete entry is a true structural
-   constant. Terminates in at most [num_registers + 1] sweeps: each
-   sweep either changes nothing or widens at least one register, and
-   widening is one-way. Returns the value of every signal. *)
-let ternary_fixpoint c =
-  let view = Sview.whole c ~roots:[] in
-  let state = Array.make (Circuit.num_signals c) Sim3v.VX in
-  Array.iter
-    (fun r ->
-      match Circuit.node c r with
-      | Circuit.Reg { init = `Zero; _ } -> state.(r) <- Sim3v.V0
-      | Circuit.Reg { init = `One; _ } -> state.(r) <- Sim3v.V1
-      | _ -> ())
-    c.Circuit.registers;
-  let values = ref [||] in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let vs = Sim3v.eval view ~free:(fun _ -> Sim3v.VX) ~state:(fun r -> state.(r)) in
-    values := vs;
-    Array.iter
-      (fun r ->
-        match Circuit.node c r with
-        | Circuit.Reg { next; _ } ->
-          if state.(r) <> Sim3v.VX && vs.(next) <> state.(r) then begin
-            state.(r) <- Sim3v.VX;
-            changed := true
-          end
-        | _ -> ())
-      c.Circuit.registers
-  done;
-  !values
 
 let v_to_string = function
   | Sim3v.V0 -> "0"
@@ -478,7 +442,7 @@ let run ?only ?(props = []) circuit =
       circuit;
       props;
       analysis = lazy (Analysis.run ~config:Analysis.quick_config circuit);
-      constants = lazy (ternary_fixpoint circuit);
+      constants = lazy (snd (Opt.constant_registers circuit));
     }
   in
   let findings = List.concat_map (fun p -> p.run ctx) selected in

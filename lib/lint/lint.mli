@@ -13,8 +13,8 @@
 
     - [const-reg] (warning) — registers whose next-state input is
       structurally constant under ternary constant propagation
-      (a {!Rfn_sim3v.Sim3v} fixpoint seeded from the declared initial
-      values, every primary input X);
+      ({!Rfn_circuit.Opt.constant_registers}, seeded from the declared
+      initial values, every primary input X);
     - [self-loop-reg] (warning) — registers clocked from their own
       output (they hold their initial value forever);
     - [dead-input] (warning) — primary inputs driving no logic;
@@ -76,9 +76,9 @@ val run :
     [Invalid_argument]) and bump the [lint.*]
     telemetry counters ([lint.passes_run], [lint.findings],
     [lint.errors], [lint.warnings], [lint.info]). The invariant
-    analysis and the ternary fixpoint run at most once per call, shared
-    by the passes that need them, and not at all when no selected pass
-    does. *)
+    analysis and {!Rfn_circuit.Opt.constant_registers} run at most once
+    per call, shared by the passes that need them, and not at all when
+    no selected pass does. *)
 
 val errors : report -> int
 val warnings : report -> int

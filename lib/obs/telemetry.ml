@@ -5,7 +5,8 @@ let now () = Unix.gettimeofday ()
 type counter = { c_name : string; mutable count : int }
 type gauge = { g_name : string; mutable value : int; mutable peak : int }
 
-type timer = {
+(* A span name's aggregate: calls, total and longest duration. *)
+type agg = {
   t_name : string;
   mutable calls : int;
   mutable total : float;
@@ -24,18 +25,15 @@ type hist = {
 type registry = {
   counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
-  timers : (string, timer) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  spans : (string, timer) Hashtbl.t;
-  mutable order :
-    [ `C of counter | `G of gauge | `T of timer | `H of hist ] list;
+  spans : (string, agg) Hashtbl.t;
+  mutable order : [ `C of counter | `G of gauge | `H of hist ] list;
 }
 
 let reg =
   {
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
-    timers = Hashtbl.create 16;
     hists = Hashtbl.create 16;
     spans = Hashtbl.create 16;
     order = [];
@@ -79,37 +77,12 @@ let rebase g v =
 let gauge_value g = g.value
 let gauge_peak g = g.peak
 
-let fresh_timer name = { t_name = name; calls = 0; total = 0.0; max_dur = 0.0 }
+let fresh_agg name = { t_name = name; calls = 0; total = 0.0; max_dur = 0.0 }
 
-let timer name =
-  match Hashtbl.find_opt reg.timers name with
-  | Some t -> t
-  | None ->
-    let t = fresh_timer name in
-    Hashtbl.add reg.timers name t;
-    reg.order <- `T t :: reg.order;
-    t
-
-let timer_observe t dur =
+let agg_observe t dur =
   t.calls <- t.calls + 1;
   t.total <- t.total +. dur;
   if dur > t.max_dur then t.max_dur <- dur
-
-let time t f =
-  if not !enabled_flag then f ()
-  else begin
-    let t0 = now () in
-    match f () with
-    | v ->
-      timer_observe t (now () -. t0);
-      v
-    | exception e ->
-      timer_observe t (now () -. t0);
-      raise e
-  end
-
-let timer_calls t = t.calls
-let timer_total t = t.total
 
 (* ---- histograms ------------------------------------------------------- *)
 
@@ -219,12 +192,6 @@ let reset () =
       g.peak <- 0)
     reg.gauges;
   Hashtbl.iter
-    (fun _ t ->
-      t.calls <- 0;
-      t.total <- 0.0;
-      t.max_dur <- 0.0)
-    reg.timers;
-  Hashtbl.iter
     (fun _ h ->
       h.h_count <- 0;
       h.h_sum <- 0.0;
@@ -309,12 +276,6 @@ let metric_snapshot_events () =
           evs :=
             [ ("ev", Json.Str "gauge"); ("name", Json.Str g.g_name);
               ("value", Json.Int g.value); ("peak", Json.Int g.peak) ]
-            :: !evs
-      | `T t ->
-        if t.calls <> 0 then
-          evs :=
-            [ ("ev", Json.Str "timer"); ("name", Json.Str t.t_name);
-              ("calls", Json.Int t.calls); ("seconds", Json.Float t.total) ]
             :: !evs
       | `H h ->
         if h.h_count <> 0 then begin
@@ -414,7 +375,7 @@ let span_agg name =
   match Hashtbl.find_opt reg.spans name with
   | Some t -> t
   | None ->
-    let t = fresh_timer name in
+    let t = fresh_agg name in
     Hashtbl.add reg.spans name t;
     t
 
@@ -432,7 +393,7 @@ let close_span ?(error = false) name attrs t0 =
     ~finally:(fun () -> decr span_depth)
     (fun () ->
       let dur = now () -. t0 in
-      timer_observe (span_agg name) dur;
+      agg_observe (span_agg name) dur;
       (match !sink with
       | None -> ()
       | Some s ->
@@ -476,7 +437,6 @@ let with_span ?(attrs = []) name f =
 let snapshot () =
   let counters = ref []
   and gauges = ref []
-  and timers = ref []
   and hists = ref [] in
   List.iter
     (function
@@ -487,13 +447,6 @@ let snapshot () =
             Json.Obj [ ("value", Json.Int g.value); ("peak", Json.Int g.peak) ]
           )
           :: !gauges
-      | `T t ->
-        timers :=
-          ( t.t_name,
-            Json.Obj
-              [ ("calls", Json.Int t.calls); ("seconds", Json.Float t.total) ]
-          )
-          :: !timers
       | `H h ->
         hists :=
           ( h.h_name,
@@ -516,7 +469,7 @@ let snapshot () =
   in
   Json.Obj
     [ ("counters", Json.Obj !counters); ("gauges", Json.Obj !gauges);
-      ("timers", Json.Obj !timers); ("hists", Json.Obj !hists);
+      ("hists", Json.Obj !hists);
       ("spans", Json.Obj spans) ]
 
 let pp_report ppf () =
@@ -533,19 +486,6 @@ let pp_report ppf () =
         Format.fprintf ppf "  %-28s calls=%-6d total=%8.3fs max=%7.3fs@."
           t.t_name t.calls t.total t.max_dur)
       spans
-  end;
-  let timers =
-    Hashtbl.fold (fun _ t acc -> t :: acc) reg.timers []
-    |> List.filter (fun t -> t.calls > 0)
-    |> List.sort (fun a b -> compare b.total a.total)
-  in
-  if timers <> [] then begin
-    Format.fprintf ppf "timers:@.";
-    List.iter
-      (fun t ->
-        Format.fprintf ppf "  %-28s calls=%-6d total=%8.3fs@." t.t_name
-          t.calls t.total)
-      timers
   end;
   let hists =
     Hashtbl.fold (fun _ h acc -> h :: acc) reg.hists []

@@ -1,12 +1,12 @@
-(** Process-global telemetry: named counters, gauges and timers, plus
-    nested spans tracing the CEGAR loop, with an optional JSONL sink.
+(** Process-global telemetry: named counters, gauges and histograms,
+    plus nested spans tracing the CEGAR loop, with an optional JSONL sink.
 
     The registry has two costs, by design:
 
     - {b Counters and gauges} are live even when telemetry is disabled —
       an increment is one or two unboxed integer writes, cheap enough
       for the BDD and ATPG hot paths.
-    - {b Spans and timers} are gated on {!enabled}: when the registry is
+    - {b Spans} are gated on {!enabled}: when the registry is
       disabled, {!with_span} is a single flag test plus the call to the
       wrapped function — no clock reads, no allocation. Instrumentation
       that must compute something expensive to record (e.g. a BDD size)
@@ -26,10 +26,10 @@ val now : unit -> float
 
 val enabled : unit -> bool
 val enable : unit -> unit
-(** Start recording spans and timers (idempotent). *)
+(** Start recording spans (idempotent). *)
 
 val disable : unit -> unit
-(** Stop recording spans/timers; counters and gauges keep counting. *)
+(** Stop recording spans; counters and gauges keep counting. *)
 
 val reset : unit -> unit
 (** Zero every registered metric (histograms included), clear span
@@ -72,7 +72,6 @@ val context : unit -> (string * Json.t) list
 
 type counter
 type gauge
-type timer
 
 val counter : string -> counter
 (** Find-or-create: the same name always yields the same counter. *)
@@ -94,16 +93,6 @@ val rebase : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 val gauge_peak : gauge -> int
-
-val timer : string -> timer
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating wall time when {!enabled}; when
-    disabled it is just the call. Exceptions propagate; the partial
-    duration is still accumulated. *)
-
-val timer_calls : timer -> int
-val timer_total : timer -> float
 
 (* ---- histograms ------------------------------------------------------ *)
 
@@ -168,7 +157,8 @@ val attach_jsonl : string -> unit
       attached, [depth] is 1 for top-level spans;
     - [{"ev":"counter","name":s,"value":n}],
       [{"ev":"gauge","name":s,"value":n,"peak":p}],
-      [{"ev":"timer","name":s,"calls":n,"seconds":d}],
+      [{"ev":"timer","name":s,"calls":n,"seconds":d}] (one per span
+      name: its aggregate),
       [{"ev":"histogram","name":s,"count":n,"sum":x,"max":x,"p50":x,
       "p90":x,"buckets":[[i,c],...]}] — the final metric snapshot
       written by {!detach}. *)
@@ -223,9 +213,9 @@ val trace_counter : string -> (string * float) list -> unit
 
 val snapshot : unit -> Json.t
 (** All registered metrics and span aggregates as one JSON object:
-    [{"counters":{...},"gauges":{...},"timers":{...},"hists":{...},
-    "spans":{...}}]. Gauges appear as [{"value":v,"peak":p}], timers
-    and spans as [{"calls":n,"seconds":d}], histograms as
+    [{"counters":{...},"gauges":{...},"hists":{...},"spans":{...}}].
+    Gauges appear as [{"value":v,"peak":p}], spans as
+    [{"calls":n,"seconds":d}], histograms as
     [{"count":n,"sum":x,"max":x,"p50":x,"p90":x}]. *)
 
 val pp_report : Format.formatter -> unit -> unit

@@ -109,14 +109,7 @@ let resolve_design st design =
   let parse () =
     match design with
     | Protocol.File path -> Netlist_io.load path
-    | Protocol.Netlist text ->
-      (* Inline text carries no extension; sniff the AIGER magic so
-         clients can inline `.aag`/`.aig` designs too. *)
-      if
-        String.length text >= 4
-        && (String.sub text 0 4 = "aag " || String.sub text 0 4 = "aig ")
-      then Aiger_io.parse text
-      else Bench_io.parse text
+    | Protocol.Netlist text -> Netlist_io.parse text
   in
   match Hashtbl.find_opt st.sources key with
   | Some digest when Hashtbl.mem st.circuits digest ->

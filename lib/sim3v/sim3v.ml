@@ -1,7 +1,7 @@
 open Rfn_circuit
 open Rfn_obs
 
-type v = V0 | V1 | VX
+type v = Gate.ternary = V0 | V1 | VX
 
 let of_bool b = if b then V1 else V0
 let to_bool = function V0 -> Some false | V1 -> Some true | VX -> None
@@ -14,58 +14,7 @@ let pp ppf = function
   | V1 -> Format.pp_print_char ppf '1'
   | VX -> Format.pp_print_char ppf 'X'
 
-let vnot = function V0 -> V1 | V1 -> V0 | VX -> VX
-
-(* n-ary AND over ternary values: 0 dominates, X taints. *)
-let vand_fold value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match value fanins.(i) with
-      | V0 -> V0
-      | VX -> go (i + 1) VX
-      | V1 -> go (i + 1) acc
-  in
-  go 0 V1
-
-let vor_fold value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match value fanins.(i) with
-      | V1 -> V1
-      | VX -> go (i + 1) VX
-      | V0 -> go (i + 1) acc
-  in
-  go 0 V0
-
-let vxor_fold value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match (value fanins.(i), acc) with
-      | VX, _ | _, VX -> VX
-      | V1, a -> go (i + 1) (vnot a)
-      | V0, a -> go (i + 1) a
-  in
-  go 0 V0
-
-let eval_gate kind value fanins =
-  match kind with
-  | Gate.Not -> vnot (value fanins.(0))
-  | Gate.Buf -> value fanins.(0)
-  | Gate.And -> vand_fold value fanins
-  | Gate.Nand -> vnot (vand_fold value fanins)
-  | Gate.Or -> vor_fold value fanins
-  | Gate.Nor -> vnot (vor_fold value fanins)
-  | Gate.Xor -> vxor_fold value fanins
-  | Gate.Xnor -> vnot (vxor_fold value fanins)
-  | Gate.Mux -> (
-    let d0 = value fanins.(1) and d1 = value fanins.(2) in
-    match value fanins.(0) with
-    | V0 -> d0
-    | V1 -> d1
-    | VX -> if d0 = d1 && d0 <> VX then d0 else VX)
+let eval_gate = Gate.eval3
 
 let eval view ~free ~state =
   let c = view.Sview.circuit in
@@ -266,8 +215,8 @@ module Packed = struct
     frames
 end
 
-let replay_concrete c trace ~bad =
-  let view = Sview.whole c ~roots:[ bad ] in
+let replay c trace =
+  let view = Sview.whole c ~roots:[] in
   let k = Trace.length trace in
   let cube_value cube s ~default =
     match Cube.value cube s with Some b -> of_bool b | None -> default
@@ -290,7 +239,9 @@ let replay_concrete c trace ~bad =
       (if cycle < k then cube_value (Trace.input trace cycle) s ~default:V0
        else V0)
   in
-  let frames = Packed.run view ~init ~inputs ~cycles:(k - 1) in
+  Packed.run view ~init ~inputs ~cycles:(k - 1)
+
+let replay_concrete c trace ~bad =
   Array.exists
     (fun vec -> Packed.read_lane vec bad ~lane:0 = V1)
-    frames
+    (replay c trace)

@@ -10,7 +10,7 @@
     unassigned inputs defaulted) and backs the ATPG engine's forward
     implication. *)
 
-type v = V0 | V1 | VX
+type v = Rfn_circuit.Gate.ternary = V0 | V1 | VX
 
 val of_bool : bool -> v
 val to_bool : v -> bool option
@@ -20,7 +20,7 @@ val conflicts : v -> v -> bool
 val pp : Format.formatter -> v -> unit
 
 val eval_gate : Rfn_circuit.Gate.kind -> (int -> v) -> int array -> v
-(** Ternary gate semantics: the output is concrete whenever it is
+(** {!Rfn_circuit.Gate.eval3}: the output is concrete whenever it is
     determined by the concrete fanins (e.g. one 0 on an AND). *)
 
 val eval :
@@ -101,12 +101,17 @@ val run :
 (** [run view ~init ~inputs ~cycles] simulates [cycles] transitions and
     returns the per-cycle combinational values ([cycles + 1] arrays). *)
 
-val replay_concrete :
-  Rfn_circuit.Circuit.t -> Rfn_circuit.Trace.t -> bad:int -> bool
+val replay :
+  Rfn_circuit.Circuit.t -> Rfn_circuit.Trace.t -> Packed.vec array
 (** Deterministic replay of a (possibly partial) trace on the whole
     design: primary inputs take their trace value, defaulting to 0;
     registers start from their declared initial values, with [`Free]
     registers taking the value the trace's first state assigns (default
-    0). Returns whether the [bad] signal is 1 at some cycle ≤ the
-    trace length — i.e. whether the trace, completed with defaults,
-    is a genuine counterexample. *)
+    0). Returns one frame per trace state, every lane holding the same
+    (concrete) values; read lane 0. *)
+
+val replay_concrete :
+  Rfn_circuit.Circuit.t -> Rfn_circuit.Trace.t -> bad:int -> bool
+(** Whether the [bad] signal is 1 in some frame of {!replay} — i.e.
+    whether the trace, completed with defaults, is a genuine
+    counterexample. *)

@@ -267,6 +267,8 @@ let test_netlist_dispatch () =
   Netlist_io.save ~bads:[ "both_high" ] aag c;
   check_equiv "bench dispatch" c (Netlist_io.load bench);
   check_equiv "aag dispatch" c (Netlist_io.load aag);
+  check_equiv "aag magic" c (Netlist_io.parse token_aag);
+  check_equiv "bench text" c (Netlist_io.parse (Bench_io.to_string c));
   Sys.remove bench;
   Sys.remove aag
 

@@ -13,6 +13,9 @@ module Sat_bmc = Rfn_core.Sat_bmc
 module Bmc = Rfn_core.Bmc
 module Supervisor = Rfn_core.Supervisor
 
+(* SAT unrollings check their CNF when the suite runs under RFN_CHECK. *)
+let env_check = Rfn_lint.Check.env_enabled ()
+
 (* ------------------------------------------------------------------ *)
 (* Hand-built designs                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -407,11 +410,14 @@ let test_sat_bmc_with_invariants () =
       let bad = prop.Property.bad in
       let a = Analysis.run circuit in
       let plain, _ =
-        Sat_bmc.falsify (Sat_bmc.unrolling circuit ~bad) ~max_depth:10
+        Sat_bmc.falsify
+          (Sat_bmc.unrolling ~check:env_check circuit ~bad)
+          ~max_depth:10
       in
       let with_inv, _ =
         Sat_bmc.falsify
-          (Sat_bmc.unrolling ~analysis:a circuit ~bad)
+          (Sat_bmc.unrolling ~analysis:a ~check:env_check circuit
+             ~bad)
           ~max_depth:10
       in
       match (plain, with_inv) with
@@ -471,6 +477,55 @@ let test_const_chain_fewer_iterations () =
     (Printf.sprintf "fewer iterations with analysis (%d < %d)" on off)
     true (on < off)
 
+(* golden/netlist.jsonl: for every zoo design and committed netlist,
+   the Opt.simplify report and netlist and the Analysis.run JSON
+   (without its wall-clock seconds), as recorded when Opt, Analysis
+   and lint each ran their own constant-register fixpoint. *)
+let test_golden_netlists () =
+  let module Json = Rfn_obs.Json in
+  let designs =
+    List.fold_left
+      (fun acc (name, c, _) ->
+        (* the zoo lists the small FIFO once per property *)
+        match String.split_on_char '/' name with
+        | design :: _ when not (List.mem_assoc design acc) ->
+          (design, c) :: acc
+        | _ -> acc)
+      [] (Helpers.zoo ())
+    |> List.rev
+  in
+  let cases =
+    designs
+    @ List.map
+        (fun f -> (f, Netlist_io.load (Filename.concat "../examples" f)))
+        [ "fifo.bench"; "passing_token.aag"; "passing_token.aig" ]
+  in
+  let ic = open_in "golden/netlist.jsonl" in
+  List.iter
+    (fun (name, c) ->
+      let expected = Json.of_string (input_line ic) in
+      let field k =
+        Option.get (Option.bind (Json.member k expected) Json.to_str)
+      in
+      Alcotest.(check string) (name ^ ": case") name (field "case");
+      let c', _, r = Opt.simplify c in
+      Alcotest.(check string) (name ^ ": simplify report") (field "simplify")
+        (Printf.sprintf
+           "gates: %d -> %d; registers: %d -> %d; %d constants folded"
+           r.Opt.gates_before r.Opt.gates_after r.Opt.registers_before
+           r.Opt.registers_after r.Opt.constants_folded);
+      Alcotest.(check string) (name ^ ": simplified netlist") (field "netlist")
+        (Bench_io.to_string c');
+      let analysis =
+        match Analysis.to_json (Analysis.run c) with
+        | Json.Obj fields -> Json.Obj (List.remove_assoc "seconds" fields)
+        | j -> j
+      in
+      Alcotest.(check string) (name ^ ": analysis") (field "analysis")
+        (Json.to_string analysis))
+    cases;
+  close_in ic
+
 let tests =
   [
     Alcotest.test_case "constant chain proved" `Quick test_const_chain;
@@ -497,6 +552,8 @@ let tests =
       test_guided_prefilter_short_circuits;
     Alcotest.test_case "const chain: strictly fewer iterations" `Quick
       test_const_chain_fewer_iterations;
+    Alcotest.test_case "golden simplify and analysis" `Quick
+      test_golden_netlists;
   ]
 
 let () = Alcotest.run "analysis" [ ("analysis", tests) ]

@@ -101,17 +101,14 @@ let test_trace_invariants () =
     Alcotest.fail "empty trace rejected"
   with Invalid_argument _ -> ()
 
-let test_constraint_cubes () =
+let test_trace_pins () =
   let s0 = Cube.of_list [ (0, false) ] and s1 = Cube.of_list [ (0, true) ] in
   let i0 = Cube.of_list [ (1, true) ] in
   let t = Trace.make ~states:[| s0; s1 |] ~inputs:[| i0 |] in
-  let cc = Trace.constraint_cubes t in
-  Alcotest.(check (list (pair int bool)))
-    "state and input merged"
-    [ (0, false); (1, true) ]
-    (Cube.to_list cc.(0));
-  Alcotest.(check (list (pair int bool))) "last is just state" [ (0, true) ]
-    (Cube.to_list cc.(1))
+  Alcotest.(check (list (triple int int bool)))
+    "every state and input literal, last cycle first"
+    [ (1, 0, true); (0, 1, true); (0, 0, false) ]
+    (Trace.pins t)
 
 let tests =
   [
@@ -124,7 +121,7 @@ let tests =
     Alcotest.test_case "restrict" `Quick test_restrict;
     meet_qcheck;
     Alcotest.test_case "trace length invariants" `Quick test_trace_invariants;
-    Alcotest.test_case "constraint cubes" `Quick test_constraint_cubes;
+    Alcotest.test_case "trace pins" `Quick test_trace_pins;
   ]
 
 let () = Alcotest.run "cube-trace" [ ("cube-trace", tests) ]

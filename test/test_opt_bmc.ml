@@ -46,6 +46,48 @@ let opt_preserves_behaviour =
          && report.Opt.registers_after <= report.Opt.registers_before
          && equivalent c c' ~out1:rc.Helpers.out ~out2:out' ~cycles:8))
 
+(* The constant-register fixpoint against explicit reachability: a
+   register it keeps holds its initial value in every reachable state,
+   and a signal it gives a concrete value takes that value in every
+   reachable state under every input. *)
+let constant_registers_sound =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:"constant_registers holds on every reachable state"
+       (Helpers.arbitrary_circuit ~nins:3 ~nregs:5 ~ngates:14)
+       (fun rc ->
+         let c = rc.Helpers.circuit in
+         let stuck, values = Opt.constant_registers c in
+         let regs = c.Circuit.registers in
+         let reg_bit svec r =
+           let rec idx i = if regs.(i) = r then i else idx (i + 1) in
+           svec land (1 lsl idx 0) <> 0
+         in
+         let init r = Circuit.initial_state c ~free:(fun _ -> false) r in
+         let concrete =
+           List.filter_map
+             (fun s ->
+               match values.(s) with
+               | Gate.V0 -> Some (s, false)
+               | Gate.V1 -> Some (s, true)
+               | Gate.VX -> None)
+             (List.init (Circuit.num_signals c) Fun.id)
+         in
+         Hashtbl.fold
+           (fun svec () ok ->
+             ok
+             && List.for_all
+                  (fun r -> reg_bit svec r = init r)
+                  (Bitset.to_list stuck)
+             && List.for_all
+                  (fun ivec ->
+                    List.for_all
+                      (fun (s, v) -> Helpers.eval_with c ~ivec ~svec s = v)
+                      concrete)
+                  (List.init (1 lsl Array.length c.Circuit.inputs) Fun.id))
+           (Helpers.explicit_reachable c)
+           true))
+
 let test_opt_folds_constants () =
   let b = B.create () in
   let x = B.input b "x" in
@@ -224,6 +266,7 @@ let test_sift_shrinks_bad_order () =
 let tests =
   [
     opt_preserves_behaviour;
+    constant_registers_sound;
     Alcotest.test_case "constants fold through" `Quick test_opt_folds_constants;
     Alcotest.test_case "stuck registers removed" `Quick test_opt_stuck_register;
     Alcotest.test_case "dead logic swept" `Quick test_opt_sweeps_dead_logic;

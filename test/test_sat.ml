@@ -20,6 +20,9 @@ module Supervisor = Rfn_core.Supervisor
 module Sim3v = Rfn_sim3v.Sim3v
 module F = Rfn_failure
 
+(* SAT unrollings check their CNF when the suite runs under RFN_CHECK. *)
+let env_check = Rfn_lint.Check.env_enabled ()
+
 (* ------------------------------------------------------------------ *)
 (* Random CNFs and a brute-force reference                             *)
 (* ------------------------------------------------------------------ *)
@@ -444,7 +447,9 @@ let test_bmc_differential () =
       let max_depth = 12 in
       let atpg, _ = Bmc.falsify circuit ~bad ~max_depth in
       let sat, _ =
-        Sat_bmc.falsify (Sat_bmc.unrolling circuit ~bad) ~max_depth
+        Sat_bmc.falsify
+          (Sat_bmc.unrolling ~check:env_check circuit ~bad)
+          ~max_depth
       in
       match (atpg, sat) with
       | Bmc.Found ta, Bmc.Found ts ->
@@ -492,7 +497,7 @@ let test_sat_guided_concretize () =
   match Bmc.falsify circuit ~bad ~max_depth:12 with
   | Bmc.Found witness, _ -> (
     (* both queries run on one unrolling, as in the CEGAR loop *)
-    let u = Sat_bmc.unrolling circuit ~bad in
+    let u = Sat_bmc.unrolling ~check:env_check circuit ~bad in
     let concretize traces = Sat_bmc.concretize u ~abstract_traces:traces in
     (match concretize [ witness ] with
     | Concretize.Found t, _ ->
@@ -528,7 +533,7 @@ let test_per_call_stats () =
   let bad = Circuit.output circuit "at_limit" in
   match Bmc.falsify circuit ~bad ~max_depth:12 with
   | Bmc.Found witness, _ ->
-    let u = Sat_bmc.unrolling circuit ~bad in
+    let u = Sat_bmc.unrolling ~check:env_check circuit ~bad in
     let conflicts = Rfn_obs.Telemetry.counter "sat.conflicts" in
     let propagations = Rfn_obs.Telemetry.counter "sat.propagations" in
     let call name =
@@ -548,6 +553,27 @@ let test_per_call_stats () =
       "first call propagated" true (first.Solver.propagations > 0);
     ignore (call "second call")
   | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
+
+(* The unrolling's own flag decides whether its CNF and pins are
+   checked: RFN_CHECK is set to the opposite value for each run. *)
+let test_unrolling_check_flag () =
+  let circuit = Helpers.counter_design ~width:3 ~limit:7 in
+  let bad = Circuit.output circuit "at_limit" in
+  let passes = Rfn_obs.Telemetry.counter "check.invariant_passes" in
+  let saved = Option.value ~default:"" (Sys.getenv_opt "RFN_CHECK") in
+  let checks_made check =
+    Unix.putenv "RFN_CHECK" (if check then "0" else "1");
+    let before = Rfn_obs.Telemetry.counter_value passes in
+    let u = Sat_bmc.unrolling ~check circuit ~bad in
+    (match Sat_bmc.falsify u ~max_depth:12 with
+    | Bmc.Found _, _ -> ()
+    | _ -> Alcotest.fail "counter witness not found");
+    Rfn_obs.Telemetry.counter_value passes - before
+  in
+  let on = checks_made true and off = checks_made false in
+  Unix.putenv "RFN_CHECK" saved;
+  Alcotest.(check bool) "checked with ~check:true" true (on > 0);
+  Alcotest.(check int) "unchecked with ~check:false" 0 off
 
 (* ------------------------------------------------------------------ *)
 (* Engine modes through the full CEGAR loop                            *)
@@ -733,6 +759,8 @@ let () =
             test_sat_guided_concretize;
           Alcotest.test_case "per-call stats on a shared unrolling" `Quick
             test_per_call_stats;
+          Alcotest.test_case "invariant checks follow the unrolling's flag"
+            `Quick test_unrolling_check_flag;
         ] );
       ( "engines",
         [

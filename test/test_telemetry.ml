@@ -41,20 +41,20 @@ let test_gauge_peak () =
   Alcotest.(check int) "last value" 12 (Telemetry.gauge_value g);
   Alcotest.(check int) "peak sticks" 99 (Telemetry.gauge_peak g)
 
-let test_timer_and_enable_gate () =
+let test_span_enable_gate () =
   with_clean_registry @@ fun () ->
-  let t = Telemetry.timer "test.t" in
   (* disabled: the thunk runs but no time is recorded *)
-  Alcotest.(check int) "disabled timer passes value through" 5
-    (Telemetry.time t (fun () -> 5));
-  Alcotest.(check int) "disabled timer records nothing" 0
-    (Telemetry.timer_calls t);
+  Alcotest.(check int) "disabled span passes value through" 5
+    (Telemetry.with_span "test.t" (fun () -> 5));
+  Alcotest.(check bool) "disabled span records nothing" true
+    (Telemetry.span_stats "test.t" = None);
   Telemetry.enable ();
-  ignore (Telemetry.time t (fun () -> 5));
-  Alcotest.(check int) "enabled timer records a call" 1
-    (Telemetry.timer_calls t);
-  Alcotest.(check bool) "total is non-negative" true
-    (Telemetry.timer_total t >= 0.0)
+  ignore (Telemetry.with_span "test.t" (fun () -> 5));
+  match Telemetry.span_stats "test.t" with
+  | Some (calls, total) ->
+    Alcotest.(check int) "enabled span records a call" 1 calls;
+    Alcotest.(check bool) "total is non-negative" true (total >= 0.0)
+  | None -> Alcotest.fail "enabled span not aggregated"
 
 (* ---- spans ----------------------------------------------------------- *)
 
@@ -256,8 +256,7 @@ let tests =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
     Alcotest.test_case "gauge tracks peak" `Quick test_gauge_peak;
-    Alcotest.test_case "timer gated on enable" `Quick
-      test_timer_and_enable_gate;
+    Alcotest.test_case "span gated on enable" `Quick test_span_enable_gate;
     Alcotest.test_case "span nesting aggregates" `Quick
       test_span_nesting_aggregates;
     Alcotest.test_case "span closes on exception" `Quick
