@@ -32,10 +32,12 @@ type decision = {
 }
 
 type solver = {
-  view : Sview.t;
+  net : Vnet.t;  (* the view, compiled: every signal below is a local id *)
   k : int;
   nsig : int;
   values : Bytes.t;
+  frame_base : int ref;  (* first cell of the frame [fanin_value] reads *)
+  fanin_value : int -> Rfn_sim3v.Sim3v.v;
   mutable trail : int array;
   mutable trail_n : int;
   mutable decisions_stack : decision list;
@@ -49,115 +51,13 @@ type solver = {
   cc1 : int array;
 }
 
-(* SCOAP-style controllability: the estimated effort to drive a signal
-   to 0 / to 1, used to steer objective backtracing toward the easiest
-   justification. Registers and free inputs cost one unit (registers a
-   little more, since their value must come through an earlier frame);
-   gates combine their fanins' costs per the usual rules. *)
-let controllability view =
-  let c = view.Sview.circuit in
-  let n = Circuit.num_signals c in
-  let inf = max_int / 4 in
-  let cap x = min x inf in
-  let cc0 = Array.make n 1 and cc1 = Array.make n 1 in
-  let sum0 fanins = cap (Array.fold_left (fun a f -> a + cc0.(f)) 0 fanins) in
-  let sum1 fanins = cap (Array.fold_left (fun a f -> a + cc1.(f)) 0 fanins) in
-  let min0 fanins = Array.fold_left (fun a f -> min a cc0.(f)) inf fanins in
-  let min1 fanins = Array.fold_left (fun a f -> min a cc1.(f)) inf fanins in
-  Array.iter
-    (fun s ->
-      if Sview.mem view s then
-        if Sview.is_free view s then begin
-          cc0.(s) <- 1;
-          cc1.(s) <- 1
-        end
-        else
-          match Circuit.node c s with
-          | Circuit.Const b ->
-            cc0.(s) <- (if b then inf else 0);
-            cc1.(s) <- (if b then 0 else inf)
-          | Circuit.Reg _ ->
-            (* controlled through the previous frame *)
-            cc0.(s) <- 3;
-            cc1.(s) <- 3
-          | Circuit.Input -> ()
-          | Circuit.Gate (kind, fanins) -> (
-            match kind with
-            | Gate.Buf ->
-              cc0.(s) <- cap (1 + cc0.(fanins.(0)));
-              cc1.(s) <- cap (1 + cc1.(fanins.(0)))
-            | Gate.Not ->
-              cc0.(s) <- cap (1 + cc1.(fanins.(0)));
-              cc1.(s) <- cap (1 + cc0.(fanins.(0)))
-            | Gate.And ->
-              cc0.(s) <- cap (1 + min0 fanins);
-              cc1.(s) <- cap (1 + sum1 fanins)
-            | Gate.Nand ->
-              cc0.(s) <- cap (1 + sum1 fanins);
-              cc1.(s) <- cap (1 + min0 fanins)
-            | Gate.Or ->
-              cc0.(s) <- cap (1 + sum0 fanins);
-              cc1.(s) <- cap (1 + min1 fanins)
-            | Gate.Nor ->
-              cc0.(s) <- cap (1 + min1 fanins);
-              cc1.(s) <- cap (1 + sum0 fanins)
-            | Gate.Xor | Gate.Xnor ->
-              (* approximate: all-zeros vs flip-one-fanin *)
-              let base = sum0 fanins in
-              let flip =
-                Array.fold_left
-                  (fun a f -> min a (base - cc0.(f) + cc1.(f)))
-                  inf fanins
-              in
-              let even = cap (1 + base) and odd = cap (1 + cap flip) in
-              if kind = Gate.Xor then begin
-                cc0.(s) <- even;
-                cc1.(s) <- odd
-              end
-              else begin
-                cc0.(s) <- odd;
-                cc1.(s) <- even
-              end
-            | Gate.Mux ->
-              let sel = fanins.(0) and d0 = fanins.(1) and d1 = fanins.(2) in
-              cc0.(s) <-
-                cap (1 + min (cc0.(sel) + cc0.(d0)) (cc1.(sel) + cc0.(d1)));
-              cc1.(s) <-
-                cap (1 + min (cc0.(sel) + cc1.(d0)) (cc1.(sel) + cc1.(d1)))))
-    c.Circuit.topo;
-  (cc0, cc1)
-
-(* Controllability depends only on the view's shape — the circuit and
-   which signals are inside / free — not on frames or pins, so it is
-   cached across [solve] calls. BMC deepening and repeated
-   concretisation queries hit the same whole-design view dozens of
-   times per run; growing abstractions correctly miss. The cache is a
-   small MRU list so at most [scoap_cache_max] circuits are retained. *)
-let scoap_cache_max = 8
-
-let scoap_cache : (Sview.t * (int array * int array)) list ref = ref []
-
-let same_shape (a : Sview.t) (b : Sview.t) =
-  a.Sview.circuit == b.Sview.circuit
-  && Bitset.equal a.Sview.inside b.Sview.inside
-  && Bitset.equal a.Sview.free b.Sview.free
-
-let controllability_cached view =
-  match List.partition (fun (v, _) -> same_shape v view) !scoap_cache with
-  | (_, cc) :: _, others ->
-    Telemetry.incr c_scoap_hits;
-    scoap_cache := (view, cc) :: others;
-    cc
-  | [], others ->
-    Telemetry.incr c_scoap_misses;
-    let cc = controllability view in
-    let others =
-      if List.length others >= scoap_cache_max then
-        List.filteri (fun i _ -> i < scoap_cache_max - 1) others
-      else others
-    in
-    scoap_cache := (view, cc) :: others;
-    cc
+(* Controllability depends only on the view's shape, so it lives with
+   the compiled view: BMC deepening and repeated concretisation
+   queries on one view reuse it, and it goes when the view does. *)
+let controllability net =
+  let scoap = net.Vnet.scoap in
+  Telemetry.incr (if Lazy.is_val scoap then c_scoap_hits else c_scoap_misses);
+  Lazy.force scoap
 
 let cell_of sol f s = (f * sol.nsig) + s
 let frame_of sol cell = cell / sol.nsig
@@ -165,34 +65,36 @@ let sig_of sol cell = cell mod sol.nsig
 let get sol f s = Bytes.get sol.values (cell_of sol f s)
 
 let is_free_cell sol f s =
-  Sview.is_free sol.view s
-  ||
-  match Circuit.node sol.view.Sview.circuit s with
-  | Circuit.Reg { init; _ } when f = 0 && not (Sview.is_free sol.view s) ->
-    sol.free_init || init = `Free
+  match sol.net.Vnet.node.(s) with
+  | Vnet.Free -> true
+  | Vnet.Reg init when f = 0 -> sol.free_init || init = `Free
   | _ -> false
+
+let to_ternary c =
+  if c = v0 then Rfn_sim3v.Sim3v.V0
+  else if c = v1 then Rfn_sim3v.Sim3v.V1
+  else Rfn_sim3v.Sim3v.VX
 
 (* 3-valued evaluation of a derived (non-free) cell from the current
    values of its fanin cells. *)
 let eval_cell sol f s =
-  let tv s' =
-    match get sol f s' with
-    | c when c = v0 -> Rfn_sim3v.Sim3v.V0
-    | c when c = v1 -> Rfn_sim3v.Sim3v.V1
-    | _ -> Rfn_sim3v.Sim3v.VX
-  in
-  match Circuit.node sol.view.Sview.circuit s with
-  | Circuit.Const b -> of_bool b
-  | Circuit.Gate (kind, fanins) -> (
-    match Rfn_sim3v.Sim3v.eval_gate kind tv fanins with
+  let net = sol.net in
+  match net.Vnet.node.(s) with
+  | Vnet.Const b -> of_bool b
+  | Vnet.Gate kind -> (
+    sol.frame_base := f * sol.nsig;
+    match
+      Gate.eval3_slice kind sol.fanin_value net.Vnet.fanins
+        ~pos:net.Vnet.fanin_start.(s) ~len:(Vnet.arity net s)
+    with
     | Rfn_sim3v.Sim3v.V0 -> v0
     | Rfn_sim3v.Sim3v.V1 -> v1
     | Rfn_sim3v.Sim3v.VX -> vx)
-  | Circuit.Reg { init; next } ->
-    if f > 0 then get sol (f - 1) next
+  | Vnet.Reg init ->
+    if f > 0 then get sol (f - 1) (Vnet.fanin net s 0)
     else if sol.free_init then vx
     else ( match init with `Zero -> v0 | `One -> v1 | `Free -> vx)
-  | Circuit.Input -> assert false (* inputs are free in well-formed views *)
+  | Vnet.Free -> assert false (* free cells are never derived *)
 
 let push_trail sol cell =
   if sol.trail_n >= Array.length sol.trail then begin
@@ -210,37 +112,35 @@ let set_cell sol cell v =
 (* Event-driven forward propagation: re-evaluate the readers of every
    newly concrete cell. Values move X -> concrete only, so evaluation
    order cannot change the fixpoint. *)
-let propagate sol seeds =
-  let c = sol.view.Sview.circuit in
-  let stack = ref seeds in
+let propagate sol cell =
+  let net = sol.net in
+  let stack = ref [ cell ] in
   let rec go () =
     match !stack with
     | [] -> ()
     | cell :: rest ->
       stack := rest;
       let f = frame_of sol cell and s = sig_of sol cell in
-      Array.iter
-        (fun reader ->
-          if Sview.mem sol.view reader && not (Sview.is_free sol.view reader)
-          then
-            match Circuit.node c reader with
-            | Circuit.Gate _ ->
-              let rc = cell_of sol f reader in
-              if Bytes.get sol.values rc = vx then begin
-                let v = eval_cell sol f reader in
-                if v <> vx then begin
-                  set_cell sol rc v;
-                  stack := rc :: !stack
-                end
-              end
-            | Circuit.Reg _ when f + 1 < sol.k ->
-              let rc = cell_of sol (f + 1) reader in
-              if Bytes.get sol.values rc = vx then begin
-                set_cell sol rc (Bytes.get sol.values cell);
-                stack := rc :: !stack
-              end
-            | _ -> ())
-        c.Circuit.fanouts.(s);
+      for i = net.Vnet.fanout_start.(s) to net.Vnet.fanout_start.(s + 1) - 1 do
+        let reader = net.Vnet.fanouts.(i) in
+        match net.Vnet.node.(reader) with
+        | Vnet.Gate _ ->
+          let rc = cell_of sol f reader in
+          if Bytes.get sol.values rc = vx then begin
+            let v = eval_cell sol f reader in
+            if v <> vx then begin
+              set_cell sol rc v;
+              stack := rc :: !stack
+            end
+          end
+        | Vnet.Reg _ when f + 1 < sol.k ->
+          let rc = cell_of sol (f + 1) reader in
+          if Bytes.get sol.values rc = vx then begin
+            set_cell sol rc (Bytes.get sol.values cell);
+            stack := rc :: !stack
+          end
+        | _ -> ()
+      done;
       go ()
   in
   go ()
@@ -267,36 +167,34 @@ let check_objectives sol =
 let rec backtrace sol f s v =
   if is_free_cell sol f s then (f, s, v)
   else
-    let c = sol.view.Sview.circuit in
-    match Circuit.node c s with
-    | Circuit.Reg { next; _ } ->
+    let net = sol.net in
+    match net.Vnet.node.(s) with
+    | Vnet.Reg _ ->
       (* f = 0 with a concrete init would be a concrete cell, caught by
          the objective scan before backtracing. *)
       assert (f > 0);
-      backtrace sol (f - 1) next v
-    | Circuit.Const _ -> assert false
-    | Circuit.Input -> assert false
-    | Circuit.Gate (kind, fanins) -> (
-      let value i = get sol f fanins.(i) in
+      backtrace sol (f - 1) (Vnet.fanin net s 0) v
+    | Vnet.Const _ | Vnet.Free -> assert false
+    | Vnet.Gate kind -> (
+      let fanin i = Vnet.fanin net s i in
+      let value i = get sol f (fanin i) in
       let pick_x desired =
         (* X-valued fanin that is cheapest to drive to the desired
            value, by the SCOAP controllability estimate. *)
         let cost fi = if desired then sol.cc1.(fi) else sol.cc0.(fi) in
         let best = ref (-1) in
-        Array.iteri
-          (fun i fi ->
-            if value i = vx then
-              match !best with
-              | -1 -> best := i
-              | b -> if cost fi < cost fanins.(b) then best := i)
-          fanins;
+        for i = 0 to Vnet.arity net s - 1 do
+          if value i = vx then
+            match !best with
+            | -1 -> best := i
+            | b -> if cost (fanin i) < cost (fanin b) then best := i
+        done;
         assert (!best >= 0);
-        ignore c;
-        backtrace sol f fanins.(!best) desired
+        backtrace sol f (fanin !best) desired
       in
       match kind with
-      | Gate.Not -> backtrace sol f fanins.(0) (not v)
-      | Gate.Buf -> backtrace sol f fanins.(0) v
+      | Gate.Not -> backtrace sol f (fanin 0) (not v)
+      | Gate.Buf -> backtrace sol f (fanin 0) v
       | Gate.And -> pick_x v
       | Gate.Nand -> pick_x (not v)
       | Gate.Or -> pick_x v
@@ -306,18 +204,18 @@ let rec backtrace sol f s v =
            0; later backtraces correct course as values concretize. *)
         let target = if kind = Gate.Xor then v else not v in
         let parity = ref false in
-        Array.iteri
-          (fun i _ -> if value i = v1 then parity := not !parity)
-          fanins;
+        for i = 0 to Vnet.arity net s - 1 do
+          if value i = v1 then parity := not !parity
+        done;
         pick_x (target <> !parity)
       | Gate.Mux ->
         let sel = value 0 and d0 = value 1 and d1 = value 2 in
-        if sel = v0 then backtrace sol f fanins.(1) v
-        else if sel = v1 then backtrace sol f fanins.(2) v
-        else if d0 = of_bool v then backtrace sol f fanins.(0) false
-        else if d1 = of_bool v then backtrace sol f fanins.(0) true
-        else if d0 = vx then backtrace sol f fanins.(0) false
-        else backtrace sol f fanins.(0) true)
+        if sel = v0 then backtrace sol f (fanin 1) v
+        else if sel = v1 then backtrace sol f (fanin 2) v
+        else if d0 = of_bool v then backtrace sol f (fanin 0) false
+        else if d1 = of_bool v then backtrace sol f (fanin 0) true
+        else if d0 = vx then backtrace sol f (fanin 0) false
+        else backtrace sol f (fanin 0) true)
 
 let undo_to sol mark =
   while sol.trail_n > mark do
@@ -325,28 +223,24 @@ let undo_to sol mark =
     Bytes.set sol.values sol.trail.(sol.trail_n) vx
   done
 
-let extract_trace sol =
-  let states =
-    Array.init sol.k (fun f ->
-        Cube.of_list
-          (Array.to_list sol.view.Sview.regs
-          |> List.filter_map (fun r ->
-                 match get sol f r with
-                 | c when c = v0 -> Some (r, false)
-                 | c when c = v1 -> Some (r, true)
-                 | _ -> None)))
+(* A trace from per-frame local values: [read f s] is the value of
+   local [s] at frame [f]. Cubes speak of parent ids. *)
+let trace_of sol read =
+  let net = sol.net in
+  let cube f locals =
+    Cube.of_list
+      (Array.to_list locals
+      |> List.filter_map (fun s ->
+             match read f s with
+             | Rfn_sim3v.Sim3v.V0 -> Some (net.Vnet.parent.(s), false)
+             | Rfn_sim3v.Sim3v.V1 -> Some (net.Vnet.parent.(s), true)
+             | Rfn_sim3v.Sim3v.VX -> None))
   in
-  let inputs =
-    Array.init sol.k (fun f ->
-        Cube.of_list
-          (Array.to_list sol.view.Sview.free_inputs
-          |> List.filter_map (fun s ->
-                 match get sol f s with
-                 | c when c = v0 -> Some (s, false)
-                 | c when c = v1 -> Some (s, true)
-                 | _ -> None)))
-  in
-  Trace.make ~states ~inputs
+  Trace.make
+    ~states:(Array.init sol.k (fun f -> cube f net.Vnet.regs))
+    ~inputs:(Array.init sol.k (fun f -> cube f net.Vnet.free_inputs))
+
+let extract_trace sol = trace_of sol (fun f s -> to_ternary (get sol f s))
 
 (* Random-pattern phase: before the branch-and-backtrace search, throw
    [Packed.lanes] random concrete patterns per round at the unrolled
@@ -357,23 +251,8 @@ let extract_trace sol =
    Sat — Unsat/Abort always come from the complete search. *)
 let random_rounds = 4
 
-let extract_packed_trace sol vecs ~lane =
-  let concrete arr f =
-    Cube.of_list
-      (Array.to_list arr
-      |> List.filter_map (fun s ->
-             match Packed.read_lane vecs.(f) s ~lane with
-             | Rfn_sim3v.Sim3v.V0 -> Some (s, false)
-             | Rfn_sim3v.Sim3v.V1 -> Some (s, true)
-             | Rfn_sim3v.Sim3v.VX -> None))
-  in
-  let states = Array.init sol.k (concrete sol.view.Sview.regs) in
-  let inputs = Array.init sol.k (concrete sol.view.Sview.free_inputs) in
-  Trace.make ~states ~inputs
-
 let random_patterns sol =
-  let view = sol.view in
-  let c = view.Sview.circuit in
+  let net = sol.net in
   (* Deterministic xorshift so solves stay reproducible. *)
   let seed = ref 0x2545f4914f6cdd1d in
   let rand_word () =
@@ -390,17 +269,19 @@ let random_patterns sol =
     | cv when cv = v1 -> Some (Packed.splat Rfn_sim3v.Sim3v.V1)
     | _ -> None
   in
+  (* Each round overwrites the planes of the round before. *)
+  let planes = ref [||] in
   let run_round () =
-    let init r =
-      match splat_cell 0 r with
+    let init s =
+      match splat_cell 0 s with
       | Some w -> w
       | None ->
-        if is_free_cell sol 0 r then { Packed.ones = rand_word (); unks = 0 }
+        if is_free_cell sol 0 s then { Packed.ones = rand_word (); unks = 0 }
         else
           Packed.splat
-            (match Circuit.node c r with
-            | Circuit.Reg { init = `Zero; _ } -> Rfn_sim3v.Sim3v.V0
-            | Circuit.Reg { init = `One; _ } -> Rfn_sim3v.Sim3v.V1
+            (match net.Vnet.node.(s) with
+            | Vnet.Reg `Zero -> Rfn_sim3v.Sim3v.V0
+            | Vnet.Reg `One -> Rfn_sim3v.Sim3v.V1
             | _ -> Rfn_sim3v.Sim3v.VX)
     in
     let state = ref init in
@@ -411,10 +292,14 @@ let random_patterns sol =
             | Some w -> w
             | None -> { Packed.ones = rand_word (); unks = 0 }
           in
-          let vec, next = Packed.step view ~free ~state:!state in
-          state := next;
+          let into =
+            if f < Array.length !planes then Some !planes.(f) else None
+          in
+          let vec = Packed.eval_net ?into net ~free ~state:!state in
+          state := (fun s -> Packed.read vec (Vnet.fanin net s 0));
           vec)
     in
+    planes := vecs;
     let mask = ref (-1) in
     List.iter
       (fun (cell, v) ->
@@ -429,7 +314,8 @@ let random_patterns sol =
     if !mask = 0 then None
     else begin
       let rec lsb i m = if m land 1 = 1 then i else lsb (i + 1) (m lsr 1) in
-      Some (extract_packed_trace sol vecs ~lane:(lsb 0 !mask))
+      let lane = lsb 0 !mask in
+      Some (trace_of sol (fun f s -> Packed.read_lane vecs.(f) s ~lane))
     end
   in
   let rec go round =
@@ -472,7 +358,7 @@ let backtrack sol =
           raise (Stop (Abort Rfn_failure.Backtracks));
         if time_exceeded sol then raise (Stop (Abort Rfn_failure.Time));
         set_cell sol d.cell (of_bool d.value);
-        propagate sol [ d.cell ]
+        propagate sol d.cell
       end
   in
   pop ()
@@ -497,7 +383,7 @@ let search sol =
         sol.n_decisions <- sol.n_decisions + 1;
         if time_exceeded sol then raise (Stop (Abort Rfn_failure.Time));
         set_cell sol dcell (of_bool vd);
-        propagate sol [ dcell ];
+        propagate sol dcell;
         loop ()
     in
     loop ()
@@ -506,15 +392,18 @@ let search sol =
 let solve ?(free_init = false) ?(random_phase = true)
     ?(limits = default_limits) view ~frames ~pins () =
   if frames < 1 then invalid_arg "Atpg.solve: frames < 1";
-  let c = view.Sview.circuit in
-  let nsig = Circuit.num_signals c in
-  let cc0, cc1 = controllability_cached view in
+  let net = Sview.net view in
+  let nsig = net.Vnet.size in
+  let cc0, cc1 = controllability net in
+  let values = Bytes.make (frames * nsig) vx and frame_base = ref 0 in
   let sol =
     {
-      view;
+      net;
       k = frames;
       nsig;
-      values = Bytes.make (frames * nsig) vx;
+      values;
+      frame_base;
+      fanin_value = (fun s -> to_ternary (Bytes.get values (!frame_base + s)));
       trail = Array.make 1024 0;
       trail_n = 0;
       decisions_stack = [];
@@ -528,31 +417,18 @@ let solve ?(free_init = false) ?(random_phase = true)
       cc1;
     }
   in
-  (* Base pass: concrete constants and initial values propagate through
-     each frame in topological order (frame-ascending handles the
-     cross-frame register reads). *)
-  for f = 0 to frames - 1 do
-    Array.iter
-      (fun s ->
-        if Sview.mem view s && not (Sview.is_free view s) then
-          Bytes.set sol.values (cell_of sol f s) (eval_cell sol f s))
-      c.Circuit.topo
-  done;
   (* Pins: free cells become root assignments, derived cells become
      objectives. *)
   let contradiction = ref false in
-  let seeds = ref [] in
   List.iter
     (fun (f, s, v) ->
       if f < 0 || f >= frames then invalid_arg "Atpg.solve: frame out of range";
-      if not (Sview.mem view s) then
-        invalid_arg "Atpg.solve: pinned signal outside the view";
+      let s = Vnet.local net s in
+      if s < 0 then invalid_arg "Atpg.solve: pinned signal outside the view";
       let cell = cell_of sol f s in
       if is_free_cell sol f s then begin
         match Bytes.get sol.values cell with
-        | cv when cv = vx ->
-          set_cell sol cell (of_bool v);
-          seeds := cell :: !seeds
+        | cv when cv = vx -> set_cell sol cell (of_bool v)
         | cv -> if cv <> of_bool v then contradiction := true
       end
       else sol.objectives <- (cell, v) :: sol.objectives)
@@ -563,7 +439,17 @@ let solve ?(free_init = false) ?(random_phase = true)
   let answer =
     if !contradiction then Unsat
     else begin
-      propagate sol !seeds;
+      (* Implication of constants, initial values and root assignments:
+         one pass per frame in topological order (frame-ascending
+         handles the cross-frame register reads). Each cell is evaluated
+         once, with its fanins final, so this is the fixpoint that
+         event-driven propagation from the roots reaches. *)
+      for f = 0 to frames - 1 do
+        for s = 0 to nsig - 1 do
+          if not (is_free_cell sol f s) then
+            Bytes.set sol.values (cell_of sol f s) (eval_cell sol f s)
+        done
+      done;
       (* Try cheap word-parallel random patterns before committing to
          the backtracking search; only still-open objectives warrant
          it, and only Sat can come out of it. *)

@@ -9,6 +9,12 @@
     a backtrack budget and an optional wall-clock budget
     ({!Rfn_obs.Telemetry.now}) implement the paper's resource limits.
 
+    The solver runs on the view's compiled form
+    ({!Rfn_circuit.Sview.net}): its value cells, implication passes and
+    SCOAP controllability (computed once per view) all cost the view's
+    size, not the parent design's; pins are translated in and traces
+    out at the API edge.
+
     Sequential problems are solved by time-frame expansion: [frames]
     copies of the combinational logic with register outputs at frame
     [t > 0] reading the register's next-state input at frame [t - 1],

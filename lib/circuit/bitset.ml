@@ -36,9 +36,12 @@ let copy t = { t with bits = Bytes.copy t.bits }
 let cardinal t = t.card
 
 let iter f t =
-  for i = 0 to t.len - 1 do
-    if Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-    then f i
+  for b = 0 to Bytes.length t.bits - 1 do
+    let byte = Char.code (Bytes.get t.bits b) in
+    if byte <> 0 then
+      for j = 0 to 7 do
+        if byte land (1 lsl j) <> 0 then f ((b lsl 3) + j)
+      done
   done
 
 let fold f t init =

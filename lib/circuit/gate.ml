@@ -25,56 +25,68 @@ type ternary = V0 | V1 | VX
 
 let tnot = function V0 -> V1 | V1 -> V0 | VX -> VX
 
-(* n-ary AND over ternary values: 0 dominates, X taints. *)
-let and3 value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match value fanins.(i) with
-      | V0 -> V0
-      | VX -> go (i + 1) VX
-      | V1 -> go (i + 1) acc
-  in
-  go 0 V1
+(* n-ary AND over the ternary values of [fanins.(pos .. stop - 1)]:
+   0 dominates, X taints. Loops rather than local recursive functions,
+   so an evaluation allocates nothing. *)
+let and3 value fanins pos stop =
+  let acc = ref V1 and i = ref pos in
+  while !i < stop do
+    (match value fanins.(!i) with
+    | V0 ->
+      acc := V0;
+      i := stop
+    | VX -> acc := VX
+    | V1 -> ());
+    incr i
+  done;
+  !acc
 
-let or3 value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match value fanins.(i) with
-      | V1 -> V1
-      | VX -> go (i + 1) VX
-      | V0 -> go (i + 1) acc
-  in
-  go 0 V0
+let or3 value fanins pos stop =
+  let acc = ref V0 and i = ref pos in
+  while !i < stop do
+    (match value fanins.(!i) with
+    | V1 ->
+      acc := V1;
+      i := stop
+    | VX -> acc := VX
+    | V0 -> ());
+    incr i
+  done;
+  !acc
 
-let xor3 value fanins =
-  let rec go i acc =
-    if i >= Array.length fanins then acc
-    else
-      match (value fanins.(i), acc) with
-      | VX, _ | _, VX -> VX
-      | V1, a -> go (i + 1) (tnot a)
-      | V0, a -> go (i + 1) a
-  in
-  go 0 V0
+let xor3 value fanins pos stop =
+  let acc = ref V0 and i = ref pos in
+  while !i < stop do
+    (match value fanins.(!i) with
+    | VX ->
+      acc := VX;
+      i := stop
+    | V1 -> acc := tnot !acc
+    | V0 -> ());
+    incr i
+  done;
+  !acc
 
-let eval3 kind value fanins =
+let eval3_slice kind value fanins ~pos ~len =
+  let stop = pos + len in
   match kind with
-  | Not -> tnot (value fanins.(0))
-  | Buf -> value fanins.(0)
-  | And -> and3 value fanins
-  | Nand -> tnot (and3 value fanins)
-  | Or -> or3 value fanins
-  | Nor -> tnot (or3 value fanins)
-  | Xor -> xor3 value fanins
-  | Xnor -> tnot (xor3 value fanins)
+  | Not -> tnot (value fanins.(pos))
+  | Buf -> value fanins.(pos)
+  | And -> and3 value fanins pos stop
+  | Nand -> tnot (and3 value fanins pos stop)
+  | Or -> or3 value fanins pos stop
+  | Nor -> tnot (or3 value fanins pos stop)
+  | Xor -> xor3 value fanins pos stop
+  | Xnor -> tnot (xor3 value fanins pos stop)
   | Mux -> (
-    let d0 = value fanins.(1) and d1 = value fanins.(2) in
-    match value fanins.(0) with
+    let d0 = value fanins.(pos + 1) and d1 = value fanins.(pos + 2) in
+    match value fanins.(pos) with
     | V0 -> d0
     | V1 -> d1
     | VX -> if d0 = d1 && d0 <> VX then d0 else VX)
+
+let eval3 kind value fanins =
+  eval3_slice kind value fanins ~pos:0 ~len:(Array.length fanins)
 
 let to_string = function
   | And -> "AND"

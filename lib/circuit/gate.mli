@@ -31,6 +31,11 @@ val eval3 : kind -> (int -> ternary) -> int array -> ternary
     whenever the concrete fanins determine it (one 0 on an AND, a MUX
     whose data inputs agree), otherwise X. *)
 
+val eval3_slice :
+  kind -> (int -> ternary) -> int array -> pos:int -> len:int -> ternary
+(** {!eval3} over the fanins [fanins.(pos .. pos + len - 1)], as laid
+    out in a {!Vnet} fanin array. *)
+
 val to_string : kind -> string
 
 val of_string : string -> kind option

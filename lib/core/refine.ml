@@ -15,13 +15,21 @@ type result = { candidates : int list; kept : int list; invalidated : bool }
    step"); disagreeing registers outside the model are candidates. *)
 let simulation_candidates abstraction ~abstract_trace =
   let c = abstraction.Abstraction.circuit in
-  let view = Sview.whole c ~roots:[] in
+  let net = Sview.net (Sview.whole c ~roots:[]) in
+  let parent = net.Vnet.parent in
   let k = Trace.length abstract_trace in
-  let trace_value j s =
-    match Cube.value (Trace.state abstract_trace j) s with
-    | Some _ as v -> v
-    | None -> Cube.value (Trace.input abstract_trace j) s
+  (* Cycle [j]'s trace literals by signal, state before input: every
+     register of the design is looked up at every cycle. *)
+  let literals =
+    Array.init k (fun j ->
+        let h = Hashtbl.create 64 in
+        List.iter
+          (fun (s, b) -> Hashtbl.replace h s b)
+          (Cube.to_list (Trace.input abstract_trace j)
+          @ Cube.to_list (Trace.state abstract_trace j));
+        h)
   in
+  let trace_value j s = Hashtbl.find_opt literals.(j) s in
   let in_model r = Rfn_circuit.Bitset.mem abstraction.Abstraction.regs r in
   let candidates = ref [] in
   let seen = Hashtbl.create 17 in
@@ -33,33 +41,36 @@ let simulation_candidates abstraction ~abstract_trace =
   in
   (* The replay runs single-pattern through the packed evaluator
      (lane 0): on whole-design views this loop dominates refinement
-     time and the word-wide kernel is branch-free per gate. *)
-  let state_of j fallback r =
-    match trace_value j r with
+     time and the word-wide kernel is branch-free per gate. Two plane
+     buffers alternate: cycle [j + 1] reads cycle [j]'s next state. *)
+  let splat = function
     | Some b -> Sim3v.Packed.splat (Sim3v.of_bool b)
-    | None -> fallback r
+    | None -> Sim3v.Packed.splat Sim3v.VX
   in
-  let state = ref (state_of 0 (fun _ -> Sim3v.Packed.splat Sim3v.VX)) in
+  let next vec l = Sim3v.Packed.read vec (Vnet.fanin net l 0) in
+  let prev = ref None and spare = ref None in
   for j = 0 to k - 2 do
-    let free s =
-      Sim3v.Packed.splat
-        (if Circuit.is_input c s then
-           match Cube.value (Trace.input abstract_trace j) s with
-           | Some b -> Sim3v.of_bool b
-           | None -> Sim3v.VX
-         else Sim3v.VX)
+    let state l =
+      match (trace_value j parent.(l), !prev) with
+      | None, Some vec -> next vec l
+      | v, _ -> splat v
     in
-    let _, next = Sim3v.Packed.step view ~free ~state:!state in
+    let free l = splat (Cube.value (Trace.input abstract_trace j) parent.(l)) in
+    let vec = Sim3v.Packed.eval_net ?into:!spare net ~free ~state in
+    spare := !prev;
+    prev := Some vec;
     (* Compare the simulated next state against cycle j+1 of the trace. *)
     Array.iter
-      (fun r ->
-        match trace_value (j + 1) r with
+      (fun l ->
+        match trace_value (j + 1) parent.(l) with
         | Some b ->
-          if Sim3v.conflicts (Sim3v.Packed.get (next r) 0) (Sim3v.of_bool b)
-          then record r
+          if
+            Sim3v.conflicts
+              (Sim3v.Packed.get (next vec l) 0)
+              (Sim3v.of_bool b)
+          then record parent.(l)
         | None -> ())
-      c.Circuit.registers;
-    state := state_of (j + 1) next
+      net.Vnet.regs
   done;
   List.rev !candidates
 

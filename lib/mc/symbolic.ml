@@ -29,36 +29,26 @@ let gate_bdd man kind args =
 
 let compile_view vm view ~memo =
   let man = Varmap.man vm in
-  let c = view.Sview.circuit in
+  let net = Sview.net view in
   let compiled = ref 0 in
-  Array.iter
-    (fun s ->
-      if Sview.mem view s && not (Hashtbl.mem memo s) then begin
-        let f =
-          if Sview.is_free view s then Bdd.var man (Varmap.inp_var vm s)
-          else
-            match Circuit.node c s with
-            | Circuit.Const b -> if b then Bdd.one man else Bdd.zero man
-            | Circuit.Reg _ -> Bdd.var man (Varmap.cur_var vm s)
-            | Circuit.Gate (kind, fanins) ->
-              gate_bdd man kind
-                (Array.map
-                   (fun x ->
-                     match Hashtbl.find_opt memo x with
-                     | Some f -> f
-                     | None ->
-                       invalid_arg
-                         (Printf.sprintf
-                            "Symbolic.compile_view: fanin %d (%s) of signal \
-                             %d (%s) not compiled (outside the view?)"
-                            x (Circuit.name c x) s (Circuit.name c s)))
-                   fanins)
-            | Circuit.Input -> assert false
-        in
-        incr compiled;
-        Hashtbl.replace memo s (Bdd.protect man f)
-      end)
-    c.Circuit.topo;
+  for l = 0 to net.Vnet.size - 1 do
+    let s = net.Vnet.parent.(l) in
+    if not (Hashtbl.mem memo s) then begin
+      let f =
+        match net.Vnet.node.(l) with
+        | Vnet.Free -> Bdd.var man (Varmap.inp_var vm s)
+        | Vnet.Const b -> if b then Bdd.one man else Bdd.zero man
+        | Vnet.Reg _ -> Bdd.var man (Varmap.cur_var vm s)
+        | Vnet.Gate kind ->
+          (* fanins precede their reader, so they are in [memo] *)
+          gate_bdd man kind
+            (Array.init (Vnet.arity net l) (fun i ->
+                 Hashtbl.find memo net.Vnet.parent.(Vnet.fanin net l i)))
+      in
+      incr compiled;
+      Hashtbl.replace memo s (Bdd.protect man f)
+    end
+  done;
   !compiled
 
 let functions_for vm view =

@@ -14,38 +14,20 @@ type t = {
   initial_inp : int list;
 }
 
-(* FORCE order over the view's signals: one hyperedge per gate (the
-   gate with its fanins) and one per register (the register with its
-   next-state input), then keep only the variable-bearing signals. *)
+(* FORCE order over the view's signals (its local ids): one hyperedge
+   per gate (the gate with its fanins) and one per register (the
+   register with its next-state input), then keep only the
+   variable-bearing signals. *)
 let ordered_var_signals ?rank_of view =
-  let c = view.Sview.circuit in
-  let n = Circuit.num_signals c in
-  let idx_of = Array.make n (-1) in
-  let count = ref 0 in
-  Bitset.iter
-    (fun s ->
-      idx_of.(s) <- !count;
-      incr count)
-    view.Sview.inside;
-  let sig_of = Array.make !count 0 in
-  Bitset.iter (fun s -> sig_of.(idx_of.(s)) <- s) view.Sview.inside;
+  let net = Sview.net view in
+  let count = net.Vnet.size and sig_of = net.Vnet.parent in
   let edges = ref [] in
-  Bitset.iter
-    (fun s ->
-      if not (Sview.is_free view s) then
-        match Circuit.node c s with
-        | Circuit.Gate (_, fanins) ->
-          let e =
-            idx_of.(s)
-            :: (Array.to_list fanins
-               |> List.filter_map (fun f ->
-                      if idx_of.(f) >= 0 then Some idx_of.(f) else None))
-          in
-          edges := e :: !edges
-        | Circuit.Reg { next; _ } when idx_of.(next) >= 0 ->
-          edges := [ idx_of.(s); idx_of.(next) ] :: !edges
-        | _ -> ())
-    view.Sview.inside;
+  for l = 0 to count - 1 do
+    match net.Vnet.node.(l) with
+    | Vnet.Gate _ | Vnet.Reg _ ->
+      edges := (l :: List.init (Vnet.arity net l) (Vnet.fanin net l)) :: !edges
+    | Vnet.Free | Vnet.Const _ -> ()
+  done;
   (* Seed FORCE with a previous iteration's order when provided:
      previously-placed signals keep their relative order up front, new
      signals follow in index order. *)
@@ -53,22 +35,21 @@ let ordered_var_signals ?rank_of view =
     match rank_of with
     | None -> None
     | Some rank ->
-      let vertices = Array.init !count (fun i -> i) in
+      let vertices = Array.init count (fun i -> i) in
       let key i =
         match rank sig_of.(i) with
         | Some r -> (0, r, i)
         | None -> (1, i, i)
       in
       Array.sort (fun a b -> compare (key a) (key b)) vertices;
-      let pos = Array.make !count 0 in
+      let pos = Array.make count 0 in
       Array.iteri (fun level v -> pos.(v) <- level) vertices;
       Some pos
   in
-  let pos = Force.order ?init ~nvars:!count ~edges:!edges () in
-  let var_signals =
-    Array.to_list view.Sview.regs @ Array.to_list view.Sview.free_inputs
-  in
-  List.sort (fun a b -> compare pos.(idx_of.(a)) pos.(idx_of.(b))) var_signals
+  let pos = Force.order ?init ~nvars:count ~edges:!edges () in
+  Array.to_list net.Vnet.regs @ Array.to_list net.Vnet.free_inputs
+  |> List.sort (fun a b -> compare pos.(a) pos.(b))
+  |> List.map (fun l -> sig_of.(l))
 
 let signal_rank t s =
   match Hashtbl.find_opt t.cur s with

@@ -7,38 +7,31 @@ let inf = max_int / 4
 
 (* Gates of the view on register-to-register paths: transitive fanin of
    the registers' next-state inputs intersected with transitive fanout
-   of the register outputs, all within the view. *)
-let free_cut_design view =
-  let c = view.Sview.circuit in
-  let n = Circuit.num_signals c in
+   of the register outputs, all within the view. Local ids. *)
+let free_cut_design (net : Vnet.t) =
+  let n = net.size in
   let tfi = Bitset.create n and tfo = Bitset.create n in
   (* Backward from next-state inputs, through non-free gates. *)
   let stack =
-    ref (Array.to_list view.Sview.regs
-        |> List.map (fun r ->
-               match Circuit.node c r with
-               | Circuit.Reg { next; _ } -> next
-               | _ -> assert false))
+    ref (Array.to_list net.regs |> List.map (fun r -> Vnet.fanin net r 0))
   in
   let rec back () =
     match !stack with
     | [] -> ()
     | s :: rest ->
       stack := rest;
-      if Sview.mem view s && (not (Sview.is_free view s))
-         && not (Bitset.mem tfi s)
-      then begin
-        match Circuit.node c s with
-        | Circuit.Gate (_, fanins) ->
-          Bitset.add tfi s;
-          Array.iter (fun f -> stack := f :: !stack) fanins
-        | Circuit.Input | Circuit.Const _ | Circuit.Reg _ -> ()
-      end;
+      (match net.node.(s) with
+      | Vnet.Gate _ when not (Bitset.mem tfi s) ->
+        Bitset.add tfi s;
+        for i = 0 to Vnet.arity net s - 1 do
+          stack := Vnet.fanin net s i :: !stack
+        done
+      | _ -> ());
       back ()
   in
   back ();
   (* Forward from register outputs, through non-free gates of the view. *)
-  let fstack = ref (Array.to_list view.Sview.regs) in
+  let fstack = ref (Array.to_list net.regs) in
   let seen = Bitset.create n in
   let rec fwd () =
     match !fstack with
@@ -47,19 +40,15 @@ let free_cut_design view =
       fstack := rest;
       if not (Bitset.mem seen s) then begin
         Bitset.add seen s;
-        Array.iter
-          (fun reader ->
-            if
-              Sview.mem view reader
-              && (not (Sview.is_free view reader))
-              && not (Bitset.mem seen reader)
-            then begin
-              (match Circuit.node c reader with
-              | Circuit.Gate _ -> Bitset.add tfo reader
-              | _ -> ());
-              fstack := reader :: !fstack
-            end)
-          c.Circuit.fanouts.(s)
+        for i = net.fanout_start.(s) to net.fanout_start.(s + 1) - 1 do
+          let reader = net.fanouts.(i) in
+          if not (Bitset.mem seen reader) then begin
+            (match net.node.(reader) with
+            | Vnet.Gate _ -> Bitset.add tfo reader
+            | _ -> ());
+            fstack := reader :: !fstack
+          end
+        done
       end;
       fwd ()
   in
@@ -69,35 +58,34 @@ let free_cut_design view =
   fc
 
 let compute view =
-  let c = view.Sview.circuit in
-  let n = Circuit.num_signals c in
-  let fc = free_cut_design view in
-  (* Node-split flow graph: signal s -> vertices 2s (in) and 2s+1
+  let net = Sview.net view in
+  let n = net.Vnet.size in
+  let fc = free_cut_design net in
+  (* Node-split flow graph: local signal s -> vertices 2s (in) and 2s+1
      (out); source = 2n, sink = 2n+1. Free inputs and plain gates get
      unit through-capacity (they may be cut); registers and free-cut
      gates are uncuttable. *)
   let g = Flow.create ((2 * n) + 2) in
   let source = 2 * n and sink = (2 * n) + 1 in
   let vin s = 2 * s and vout s = (2 * s) + 1 in
-  let protected s = Sview.is_state view s || Bitset.mem fc s in
-  Bitset.iter
-    (fun s ->
-      let capacity = if protected s then inf else 1 in
-      Flow.add_edge g (vin s) (vout s) capacity;
-      if Sview.is_free view s then Flow.add_edge g source (vin s) inf;
-      if protected s then Flow.add_edge g (vout s) sink inf;
-      (match Circuit.node c s with
-      | Circuit.Gate (_, fanins) when not (Sview.is_free view s) ->
-        Array.iter
-          (fun f -> if Sview.mem view f then Flow.add_edge g (vout f) (vin s) inf)
-          fanins
-      | Circuit.Reg { next; _ } when not (Sview.is_free view s) ->
-        if Sview.mem view next then Flow.add_edge g (vout next) (vin s) inf
-      | _ -> ()))
-    view.Sview.inside;
+  let protected s =
+    (match net.Vnet.node.(s) with Vnet.Reg _ -> true | _ -> false)
+    || Bitset.mem fc s
+  in
+  for s = 0 to n - 1 do
+    let capacity = if protected s then inf else 1 in
+    Flow.add_edge g (vin s) (vout s) capacity;
+    (match net.Vnet.node.(s) with
+    | Vnet.Free -> Flow.add_edge g source (vin s) inf
+    | _ -> ());
+    if protected s then Flow.add_edge g (vout s) sink inf;
+    for i = 0 to Vnet.arity net s - 1 do
+      Flow.add_edge g (vout (Vnet.fanin net s i)) (vin s) inf
+    done
+  done;
   ignore (Flow.max_flow g ~source ~sink);
   let reach = Flow.min_cut_reachable g ~source in
-  let in_cut s = reach.(vin s) && not (reach.(vout s)) in
+  let in_cut s = reach.(vin s) && not reach.(vout s) in
   (* Min-cut design: registers plus their next-state cones truncated at
      the cut signals. *)
   let inside = Bitset.create n and free = Bitset.create n in
@@ -105,10 +93,8 @@ let compute view =
   Array.iter
     (fun r ->
       Bitset.add inside r;
-      match Circuit.node c r with
-      | Circuit.Reg { next; _ } -> stack := next :: !stack
-      | _ -> assert false)
-    view.Sview.regs;
+      stack := Vnet.fanin net r 0 :: !stack)
+    net.Vnet.regs;
   let rec walk () =
     match !stack with
     | [] -> ()
@@ -118,19 +104,29 @@ let compute view =
         Bitset.add inside s;
         if in_cut s then Bitset.add free s
         else
-          match Circuit.node c s with
-          | Circuit.Gate (_, fanins) ->
-            Array.iter (fun f -> stack := f :: !stack) fanins
-          | Circuit.Const _ -> ()
-          | Circuit.Reg _ ->
-            (* A register output below no cut must be a state register
-               of the view (free pseudo-inputs are separated by the
-               cut, by max-flow/min-cut duality). *)
-            assert (Sview.is_state view s)
-          | Circuit.Input -> assert false
+          match net.Vnet.node.(s) with
+          | Vnet.Gate _ ->
+            for i = 0 to Vnet.arity net s - 1 do
+              stack := Vnet.fanin net s i :: !stack
+            done
+          | Vnet.Const _ -> ()
+          | Vnet.Reg _ -> ()
+          | Vnet.Free ->
+            (* A free input below no cut would be reachable from the
+               source through uncut vertices: impossible, by
+               max-flow/min-cut duality. *)
+            assert false
       end;
       walk ()
   in
   walk ();
-  let mc = Sview.make c ~inside ~free ~roots:[] in
+  (* Back to parent ids at the API edge. *)
+  let c = view.Sview.circuit in
+  let lift set =
+    let parent = Bitset.create (Circuit.num_signals c) in
+    Bitset.iter (fun s -> Bitset.add parent net.Vnet.parent.(s)) set;
+    parent
+  in
+  let free = lift free in
+  let mc = Sview.make c ~inside:(lift inside) ~free ~roots:[] in
   { mc; cut = Bitset.to_list free; free_cut_gates = Bitset.cardinal fc }

@@ -9,7 +9,9 @@
     inputs. The inputs of the min-cut design are the signals of a
     minimum vertex cut separating the abstract model's free inputs from
     the free-cut design, found by max-flow on the node-split circuit
-    graph. *)
+    graph — built over the abstract model's compiled form
+    ({!Rfn_circuit.Sview.net}), so it has [2·|view| + 2] vertices
+    whatever the size of the parent design. *)
 
 type result = {
   mc : Rfn_circuit.Sview.t;

@@ -7,9 +7,10 @@ let c_frames_reused = Telemetry.counter "sat.frames_reused"
 type t = {
   solver : Solver.t;
   view : Sview.t;
+  net : Vnet.t;
   free_init : bool;
   tt : Solver.lit;  (* the constant-true literal *)
-  mutable maps : int array array;  (* maps.(frame).(signal) = lit, -1 absent *)
+  mutable maps : int array array;  (* maps.(frame).(local id) = lit *)
   mutable nframes : int;
 }
 
@@ -17,7 +18,8 @@ let create ?log_learnts ?(free_init = false) view =
   let solver = Solver.create ?log_learnts () in
   let tt = Solver.lit (Solver.new_var solver) true in
   Solver.add_clause solver [ tt ];
-  { solver; view; free_init; tt; maps = [||]; nframes = 0 }
+  let net = Sview.net view in
+  { solver; view; net; free_init; tt; maps = [||]; nframes = 0 }
 
 let solver t = t.solver
 let view t = t.view
@@ -83,38 +85,31 @@ let gate_lit t kind args =
 (* ---- frame encoding --------------------------------------------------- *)
 
 let encode_frame t frame =
-  let c = t.view.Sview.circuit in
-  let map = Array.make (Circuit.num_signals c) (-1) in
-  Array.iter
-    (fun s ->
-      if Sview.mem t.view s then
-        let l =
-          if Sview.is_free t.view s then fresh t
-          else
-            match Circuit.node c s with
-            | Circuit.Const b -> if b then t.tt else Solver.neg t.tt
-            | Circuit.Reg { init; next } ->
-              if frame = 0 then begin
-                let v = fresh t in
-                (if not t.free_init then
-                   match init with
-                   | `Zero -> Solver.add_clause t.solver [ Solver.neg v ]
-                   | `One -> Solver.add_clause t.solver [ v ]
-                   | `Free -> ());
-                v
-              end
-              else
-                (* the register output at frame [t] is the next-state
-                   input at frame [t - 1], verbatim *)
-                t.maps.(frame - 1).(next)
-            | Circuit.Gate (kind, fanins) ->
-              gate_lit t kind (Array.map (fun x -> map.(x)) fanins)
-            | Circuit.Input ->
-              (* inputs inside a view are free by construction *)
-              assert false
-        in
-        map.(s) <- l)
-    c.Circuit.topo;
+  let net = t.net in
+  let map = Array.make net.Vnet.size (-1) in
+  for s = 0 to net.Vnet.size - 1 do
+    map.(s) <-
+      (match net.Vnet.node.(s) with
+      | Vnet.Free -> fresh t
+      | Vnet.Const b -> if b then t.tt else Solver.neg t.tt
+      | Vnet.Reg init ->
+        if frame = 0 then begin
+          let v = fresh t in
+          (if not t.free_init then
+             match init with
+             | `Zero -> Solver.add_clause t.solver [ Solver.neg v ]
+             | `One -> Solver.add_clause t.solver [ v ]
+             | `Free -> ());
+          v
+        end
+        else
+          (* the register output at frame [t] is the next-state input
+             at frame [t - 1], verbatim *)
+          t.maps.(frame - 1).(Vnet.fanin net s 0)
+      | Vnet.Gate kind ->
+        gate_lit t kind
+          (Array.init (Vnet.arity net s) (fun i -> map.(Vnet.fanin net s i))))
+  done;
   map
 
 let extend t ~frames =
@@ -136,19 +131,19 @@ let lit_of t ~frame s =
     invalid_arg
       (Printf.sprintf "Rfn_sat.Cnf.lit_of: frame %d not encoded (have %d)"
          frame t.nframes);
-  let l = t.maps.(frame).(s) in
-  if l < 0 then
+  match Vnet.local t.net s with
+  | -1 ->
     invalid_arg
       (Printf.sprintf "Rfn_sat.Cnf.lit_of: signal %d (%s) outside the view" s
-         (Circuit.name t.view.Sview.circuit s));
-  l
+         (Circuit.name t.view.Sview.circuit s))
+  | l -> t.maps.(frame).(l)
 
 let lit_of_opt t ~frame s =
   if frame < 0 || frame >= t.nframes then None
   else
-    let m = t.maps.(frame) in
-    if s < 0 || s >= Array.length m then None
-    else match m.(s) with l when l < 0 -> None | l -> Some l
+    match Vnet.local t.net s with
+    | -1 -> None
+    | l -> Some t.maps.(frame).(l)
 
 let assumptions_of_pins t pins =
   List.map
@@ -158,18 +153,16 @@ let assumptions_of_pins t pins =
     pins
 
 let trace t ~frames =
-  let cube signals frame =
+  let net = t.net in
+  let cube locals frame =
     Cube.of_list
       (Array.to_list
          (Array.map
-            (fun s ->
-              (s, Solver.value_lit t.solver (lit_of t ~frame s)))
-            signals))
+            (fun l ->
+              ( net.Vnet.parent.(l),
+                Solver.value_lit t.solver t.maps.(frame).(l) ))
+            locals))
   in
-  let states =
-    Array.init frames (fun j -> cube t.view.Sview.regs j)
-  in
-  let inputs =
-    Array.init frames (fun j -> cube t.view.Sview.free_inputs j)
-  in
+  let states = Array.init frames (fun j -> cube net.Vnet.regs j) in
+  let inputs = Array.init frames (fun j -> cube net.Vnet.free_inputs j) in
   Trace.make ~states ~inputs

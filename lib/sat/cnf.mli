@@ -6,7 +6,11 @@
     aliases, a register at frame [t > 0] as an alias of its next-state
     input's literal at frame [t - 1]), and frame-0 registers are clamped
     to their declared initial values by unit clauses (unless
-    [~free_init:true]). The encoding is {e monotone}: deepening only
+    [~free_init:true]). Frames are encoded over the view's compiled
+    form ({!Rfn_circuit.Vnet}), so a frame costs the view's size; the
+    per-frame literal maps are view-local, and [lit_of] / [trace]
+    translate to and from parent signal ids. The encoding is
+    {e monotone}: deepening only
     appends clauses, so one instance serves every BMC depth and every
     guided-concretization query, keeping its learned clauses — the
     incremental formulation of Eén, Mishchenko & Amla. In the CEGAR

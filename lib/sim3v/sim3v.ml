@@ -17,31 +17,32 @@ let pp ppf = function
 let eval_gate = Gate.eval3
 
 let eval view ~free ~state =
-  let c = view.Sview.circuit in
-  let values = Array.make (Circuit.num_signals c) VX in
-  let get s = values.(s) in
-  Array.iter
-    (fun s ->
-      if Sview.mem view s then
-        values.(s) <-
-          (if Sview.is_free view s then free s
-           else
-             match Circuit.node c s with
-             | Circuit.Const b -> of_bool b
-             | Circuit.Reg _ -> state s
-             | Circuit.Gate (kind, fanins) -> eval_gate kind get fanins
-             | Circuit.Input -> assert false (* inputs are free in views *)))
-    c.Circuit.topo;
+  let net = Sview.net view in
+  let values = Array.make net.Vnet.size VX in
+  let get l = values.(l) in
+  for l = 0 to net.Vnet.size - 1 do
+    values.(l) <-
+      (match net.Vnet.node.(l) with
+      | Vnet.Free -> free net.Vnet.parent.(l)
+      | Vnet.Const b -> of_bool b
+      | Vnet.Reg _ -> state net.Vnet.parent.(l)
+      | Vnet.Gate kind ->
+        Gate.eval3_slice kind get net.Vnet.fanins ~pos:net.Vnet.fanin_start.(l)
+          ~len:(Vnet.arity net l))
+  done;
   values
+
+(* The next-state value of parent register [r] read from one frame's
+   local values: X when its next-state input lies outside the view. *)
+let next_of view read ~unknown r =
+  match Circuit.node view.Sview.circuit r with
+  | Circuit.Reg { next; _ } -> (
+    match Vnet.local (Sview.net view) next with -1 -> unknown | l -> read l)
+  | _ -> invalid_arg "Sim3v.step: not a register"
 
 let step view ~free ~state =
   let values = eval view ~free ~state in
-  let next r =
-    match Circuit.node view.Sview.circuit r with
-    | Circuit.Reg { next; _ } -> values.(next)
-    | _ -> invalid_arg "Sim3v.step: not a register"
-  in
-  (values, next)
+  (values, next_of view (Array.get values) ~unknown:VX)
 
 let run view ~init ~inputs ~cycles =
   let state = ref init in
@@ -67,9 +68,10 @@ module Packed = struct
 
      Lanes fill the native OCaml int — [Sys.int_size] bits (63 on
      64-bit hosts), so every bit of the word is a usable lane and no
-     masking is needed: [-1] is "all lanes". Boxed [Int64] would give
-     the headline 64 but costs an allocation per gate per word; the
-     unboxed 63-lane representation is strictly faster. *)
+     masking is needed: [-1] is "all lanes". A view's evaluation
+     ([eval] below) keeps the two planes as two flat int arrays and
+     computes each gate straight into them; the boxed [w] record is
+     only the currency of the per-signal callbacks and [read]. *)
 
   let lanes = Sys.int_size
 
@@ -100,105 +102,105 @@ module Packed = struct
   (* Plane of lanes holding 0. *)
   let zeros_plane ~ones ~unks = lnot (ones lor unks)
 
-  let vnot w = { ones = zeros_plane ~ones:w.ones ~unks:w.unks; unks = w.unks }
-
-  let vand a b =
-    let ones = a.ones land b.ones in
-    let zero =
-      zeros_plane ~ones:a.ones ~unks:a.unks
-      lor zeros_plane ~ones:b.ones ~unks:b.unks
-    in
-    { ones; unks = lnot (ones lor zero) }
-
-  let vor a b =
-    let ones = a.ones lor b.ones in
-    let zero =
-      zeros_plane ~ones:a.ones ~unks:a.unks
-      land zeros_plane ~ones:b.ones ~unks:b.unks
-    in
-    { ones; unks = lnot (ones lor zero) }
-
-  let vxor a b =
-    let unks = a.unks lor b.unks in
-    { ones = (a.ones lxor b.ones) land lnot unks; unks }
-
-  let vmux sel d0 d1 =
-    let s0 = zeros_plane ~ones:sel.ones ~unks:sel.unks in
-    let d0z = zeros_plane ~ones:d0.ones ~unks:d0.unks in
-    let d1z = zeros_plane ~ones:d1.ones ~unks:d1.unks in
-    let ones =
-      (s0 land d0.ones) lor (sel.ones land d1.ones)
-      lor (sel.unks land d0.ones land d1.ones)
-    in
-    let zero =
-      (s0 land d0z) lor (sel.ones land d1z) lor (sel.unks land d0z land d1z)
-    in
-    { ones; unks = lnot (ones lor zero) }
-
-  let fold_w op unit_w value fanins =
-    let acc = ref unit_w in
-    for i = 0 to Array.length fanins - 1 do
-      acc := op !acc (value fanins.(i))
-    done;
-    !acc
-
-  let eval_gate kind value fanins =
-    match kind with
-    | Gate.Not -> vnot (value fanins.(0))
-    | Gate.Buf -> value fanins.(0)
-    | Gate.And -> fold_w vand (splat V1) value fanins
-    | Gate.Nand -> vnot (fold_w vand (splat V1) value fanins)
-    | Gate.Or -> fold_w vor (splat V0) value fanins
-    | Gate.Nor -> vnot (fold_w vor (splat V0) value fanins)
-    | Gate.Xor -> fold_w vxor (splat V0) value fanins
-    | Gate.Xnor -> vnot (fold_w vxor (splat V0) value fanins)
-    | Gate.Mux ->
-      vmux (value fanins.(0)) (value fanins.(1)) (value fanins.(2))
-
-  (* Per-signal planes for a whole view evaluation. Signals outside
-     the view read as X in every lane, matching the scalar [eval]. *)
+  (* Per-signal planes for a whole view evaluation, indexed by the
+     view's local ids. *)
   type vec = { vones : int array; vunks : int array }
 
-  let read vec s = { ones = vec.vones.(s); unks = vec.vunks.(s) }
-  let read_lane vec s ~lane = get (read vec s) lane
+  let read vec l = { ones = vec.vones.(l); unks = vec.vunks.(l) }
+  let read_lane vec l ~lane = get (read vec l) lane
 
   let c_packed_words = Telemetry.counter "sim.packed_words"
 
-  let eval view ~free ~state =
-    let c = view.Sview.circuit in
-    let n = Circuit.num_signals c in
-    let vones = Array.make n 0 and vunks = Array.make n (-1) in
-    let store s (w : w) =
-      vones.(s) <- w.ones;
-      vunks.(s) <- w.unks
+  (* Gate [l] of [net], computed from its fanins' planes into its own,
+     lane-wise {!Gate.eval3}: an AND lane is 1 where every fanin is 1
+     and 0 where some fanin is 0, an OR lane the dual, an XOR lane X
+     where some fanin is X and the parity elsewhere; X fills the rest,
+     and the inverting kinds swap the 1 and 0 planes. No allocation. *)
+  let store { vones; vunks } l ~invert ones unks =
+    vones.(l) <- (if invert then zeros_plane ~ones ~unks else ones);
+    vunks.(l) <- unks
+
+  let eval_gate_into net ({ vones; vunks } as vec) l kind =
+    let fanins = net.Vnet.fanins in
+    let pos = net.Vnet.fanin_start.(l)
+    and stop = net.Vnet.fanin_start.(l + 1) in
+    match kind with
+    | Gate.Buf | Gate.Not ->
+      let a = fanins.(pos) in
+      store vec l ~invert:(kind = Gate.Not) vones.(a) vunks.(a)
+    | Gate.And | Gate.Nand ->
+      let ones = ref (-1) and zero = ref 0 in
+      for i = pos to stop - 1 do
+        let a = fanins.(i) in
+        ones := !ones land vones.(a);
+        zero := !zero lor zeros_plane ~ones:vones.(a) ~unks:vunks.(a)
+      done;
+      store vec l ~invert:(kind = Gate.Nand) !ones (lnot (!ones lor !zero))
+    | Gate.Or | Gate.Nor ->
+      let ones = ref 0 and zero = ref (-1) in
+      for i = pos to stop - 1 do
+        let a = fanins.(i) in
+        ones := !ones lor vones.(a);
+        zero := !zero land zeros_plane ~ones:vones.(a) ~unks:vunks.(a)
+      done;
+      store vec l ~invert:(kind = Gate.Nor) !ones (lnot (!ones lor !zero))
+    | Gate.Xor | Gate.Xnor ->
+      let ones = ref 0 and unks = ref 0 in
+      for i = pos to stop - 1 do
+        let a = fanins.(i) in
+        ones := !ones lxor vones.(a);
+        unks := !unks lor vunks.(a)
+      done;
+      store vec l ~invert:(kind = Gate.Xnor) (!ones land lnot !unks) !unks
+    | Gate.Mux ->
+      (* 1 (0) where the selected data input is 1 (0), or where [sel]
+         is X and both data inputs agree on 1 (0) *)
+      let sel = fanins.(pos) and d0 = fanins.(pos + 1)
+      and d1 = fanins.(pos + 2) in
+      let s0 = zeros_plane ~ones:vones.(sel) ~unks:vunks.(sel) in
+      let d0z = zeros_plane ~ones:vones.(d0) ~unks:vunks.(d0) in
+      let d1z = zeros_plane ~ones:vones.(d1) ~unks:vunks.(d1) in
+      let ones =
+        (s0 land vones.(d0)) lor (vones.(sel) land vones.(d1))
+        lor (vunks.(sel) land vones.(d0) land vones.(d1))
+      in
+      let zero =
+        (s0 land d0z) lor (vones.(sel) land d1z)
+        lor (vunks.(sel) land d0z land d1z)
+      in
+      store vec l ~invert:false ones (lnot (ones lor zero))
+
+  let eval_net ?into net ~free ~state =
+    let n = net.Vnet.size in
+    let vec =
+      match into with
+      | Some vec -> vec
+      | None -> { vones = Array.make n 0; vunks = Array.make n (-1) }
     in
-    let get s = { ones = vones.(s); unks = vunks.(s) } in
-    let words = ref 0 in
-    Array.iter
-      (fun s ->
-        if Sview.mem view s then begin
-          incr words;
-          store s
-            (if Sview.is_free view s then free s
-             else
-               match Circuit.node c s with
-               | Circuit.Const b -> splat (of_bool b)
-               | Circuit.Reg _ -> state s
-               | Circuit.Gate (kind, fanins) -> eval_gate kind get fanins
-               | Circuit.Input -> assert false (* inputs are free in views *))
-        end)
-      c.Circuit.topo;
-    Telemetry.add c_packed_words !words;
-    { vones; vunks }
+    let store l (w : w) =
+      vec.vones.(l) <- w.ones;
+      vec.vunks.(l) <- w.unks
+    in
+    for l = 0 to n - 1 do
+      match net.Vnet.node.(l) with
+      | Vnet.Free -> store l (free l)
+      | Vnet.Reg _ -> store l (state l)
+      | Vnet.Const b -> store l (splat (of_bool b))
+      | Vnet.Gate kind -> eval_gate_into net vec l kind
+    done;
+    Telemetry.add c_packed_words n;
+    vec
+
+  let eval view ~free ~state =
+    let net = Sview.net view in
+    let parent = net.Vnet.parent in
+    eval_net net
+      ~free:(fun l -> free parent.(l))
+      ~state:(fun l -> state parent.(l))
 
   let step view ~free ~state =
     let vec = eval view ~free ~state in
-    let next r =
-      match Circuit.node view.Sview.circuit r with
-      | Circuit.Reg { next; _ } -> read vec next
-      | _ -> invalid_arg "Sim3v.Packed.step: not a register"
-    in
-    (vec, next)
+    (vec, next_of view (read vec) ~unknown:(splat VX))
 
   let run view ~init ~inputs ~cycles =
     let state = ref init in

@@ -25,8 +25,11 @@ val eval_gate : Rfn_circuit.Gate.kind -> (int -> v) -> int array -> v
 
 val eval :
   Rfn_circuit.Sview.t -> free:(int -> v) -> state:(int -> v) -> v array
-(** Values of all signals of the view (signals outside are reported X).
-    [free] values the view's free inputs, [state] its registers. *)
+(** Values of all signals of the view, indexed by local id
+    ({!Rfn_circuit.Vnet}; on a whole view, by signal). [free] values
+    the view's free inputs, [state] its registers; both receive parent
+    signal ids. Runs on the view's compiled form: its cost is the
+    view's size. *)
 
 val step :
   Rfn_circuit.Sview.t ->
@@ -34,15 +37,17 @@ val step :
   state:(int -> v) ->
   v array * (int -> v)
 (** One clock cycle: combinational values plus next state. The next
-    state of a register is the value of its next-state input. *)
+    state of a (parent) register is the value of its next-state input,
+    X when that input lies outside the view. *)
 
 (** Bit-parallel packed ternary simulation: {!Packed.lanes} independent
     ternary patterns per word, in two planes ([ones] / [unks]; a lane
     clear in both planes holds 0), evaluated with word-wide logic ops.
     Lanes fill the native int ([Sys.int_size] = 63 bits on 64-bit
-    hosts) so no per-gate boxing or masking occurs. Semantics are
-    lane-wise identical to the scalar evaluator above, which remains
-    the differential oracle. *)
+    hosts) so no masking occurs, and a view evaluation computes every
+    gate straight into the two planes without allocating. Semantics
+    are lane-wise identical to the scalar evaluator above, which
+    remains the differential oracle. *)
 module Packed : sig
   val lanes : int
 
@@ -61,20 +66,32 @@ module Packed : sig
   val of_fun : (int -> v) -> w
   (** [of_fun f] has lane [i] holding [f i]. *)
 
-  val eval_gate : Rfn_circuit.Gate.kind -> (int -> w) -> int array -> w
-  (** Lane-wise {!Sim3v.eval_gate}. *)
-
   type vec = { vones : int array; vunks : int array }
-  (** Per-signal planes of one combinational evaluation. *)
+  (** Per-signal planes of one combinational evaluation, indexed by the
+      view's local ids (on a whole view, by signal). *)
 
   val read : vec -> int -> w
   val read_lane : vec -> int -> lane:int -> v
+  (** Both take a local id. *)
+
+  val eval_net :
+    ?into:vec ->
+    Rfn_circuit.Vnet.t ->
+    free:(int -> w) ->
+    state:(int -> w) ->
+    vec
+  (** Packed evaluation of a compiled view; [free] and [state] receive
+      local ids and are called once per free input / register, in
+      ascending local order. [into] (planes of the view's size) is
+      overwritten and returned instead of fresh planes, so a frame
+      loop can recycle its buffers. Bumps the [sim.packed_words]
+      telemetry counter by the number of word evaluations (the view's
+      size). *)
 
   val eval :
     Rfn_circuit.Sview.t -> free:(int -> w) -> state:(int -> w) -> vec
-  (** Packed {!Sim3v.eval}: signals outside the view read as X in all
-      lanes. Bumps the [sim.packed_words] telemetry counter by the
-      number of word evaluations. *)
+  (** Packed {!Sim3v.eval}: {!eval_net} on the view's compiled form,
+      with parent ids given to [free] and [state]. *)
 
   val step :
     Rfn_circuit.Sview.t ->
@@ -99,7 +116,8 @@ val run :
   cycles:int ->
   v array array
 (** [run view ~init ~inputs ~cycles] simulates [cycles] transitions and
-    returns the per-cycle combinational values ([cycles + 1] arrays). *)
+    returns the per-cycle combinational values ([cycles + 1] arrays,
+    indexed like {!eval}'s). *)
 
 val replay :
   Rfn_circuit.Circuit.t -> Rfn_circuit.Trace.t -> Packed.vec array

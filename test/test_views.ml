@@ -125,6 +125,86 @@ let abstraction_soundness =
                 | _ -> false)
               v.Sview.regs))
 
+(* The compiled form of a view against the view itself, on random
+   circuits and random register sets. *)
+let compiled_round_trip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"compiled view round-trips to the view"
+       (QCheck.pair
+          (Helpers.arbitrary_circuit ~nins:3 ~nregs:5 ~ngates:14)
+          (QCheck.int_bound 31))
+       (fun (rc, mask) ->
+         let c = rc.Helpers.circuit in
+         let regs =
+           List.filteri
+             (fun i _ -> mask land (1 lsl i) <> 0)
+             (Array.to_list c.Circuit.registers)
+         in
+         let a = Abstraction.with_regs c ~roots:[ rc.Helpers.out ] ~regs in
+         let v = a.Abstraction.view in
+         let net = Sview.net v in
+         let to_parent = Array.map (fun l -> net.Vnet.parent.(l)) in
+         let locals = List.init net.Vnet.size Fun.id in
+         let parent_fanins s =
+           match Circuit.node c s with
+           | _ when Sview.is_free v s -> [||]
+           | Circuit.Gate (_, fanins) -> fanins
+           | Circuit.Reg { next; _ } -> [| next |]
+           | Circuit.Input | Circuit.Const _ -> [||]
+         in
+         let fanins l =
+           Array.init (Vnet.arity net l) (fun i -> Vnet.fanin net l i)
+         in
+         let fanouts l =
+           Array.sub net.Vnet.fanouts net.Vnet.fanout_start.(l)
+             (net.Vnet.fanout_start.(l + 1) - net.Vnet.fanout_start.(l))
+         in
+         (* local order is the parent's topological order restricted *)
+         Array.to_list net.Vnet.parent
+         = List.filter (Sview.mem v) (Array.to_list c.Circuit.topo)
+         (* ... so it is a topological order *)
+         && List.for_all
+              (fun l ->
+                match net.Vnet.node.(l) with
+                | Vnet.Gate _ -> Array.for_all (fun f -> f < l) (fanins l)
+                | _ -> true)
+              locals
+         (* local -> parent is strictly increasing and inverts [local] *)
+         && List.for_all
+              (fun l ->
+                (l = 0 || net.Vnet.parent.(l - 1) < net.Vnet.parent.(l))
+                && Vnet.local net net.Vnet.parent.(l) = l)
+              locals
+         && List.for_all
+              (fun s -> Sview.mem v s || Vnet.local net s = -1)
+              (List.init (Circuit.num_signals c) Fun.id)
+         && to_parent net.Vnet.regs = v.Sview.regs
+         && to_parent net.Vnet.free_inputs = v.Sview.free_inputs
+         && List.map (fun l -> net.Vnet.parent.(l)) net.Vnet.roots
+            = v.Sview.roots
+         && List.for_all
+              (fun l ->
+                let s = net.Vnet.parent.(l) in
+                (net.Vnet.node.(l) = Vnet.Free) = Sview.is_free v s
+                && to_parent (fanins l) = parent_fanins s
+                && to_parent (fanouts l)
+                   = Array.of_list
+                       (List.filter
+                          (fun r -> Sview.mem v r && not (Sview.is_free v r))
+                          (Array.to_list c.Circuit.fanouts.(s))))
+              locals))
+
+let test_whole_view_shared () =
+  let c, _, _, d2, _ = chain_design () in
+  let v = Sview.whole c ~roots:[] and v' = Sview.whole c ~roots:[ d2 ] in
+  Alcotest.(check bool) "one whole view per circuit" true
+    (v == Sview.whole c ~roots:[]);
+  Alcotest.(check bool) "compiled form shared across roots" true
+    ((Sview.net v).Vnet.parent == (Sview.net v').Vnet.parent);
+  Alcotest.(check (list int)) "roots are the caller's" [ d2 ]
+    (Sview.net v').Vnet.roots;
+  Alcotest.(check int) "identity local ids" d2 (Vnet.local (Sview.net v') d2)
+
 let tests =
   [
     Alcotest.test_case "coi follows registers" `Quick test_coi_follows_registers;
@@ -138,6 +218,8 @@ let tests =
     Alcotest.test_case "refine rejects non-register" `Quick
       test_refine_rejects_non_register;
     abstraction_soundness;
+    compiled_round_trip;
+    Alcotest.test_case "whole view built once" `Quick test_whole_view_shared;
   ]
 
 let () = Alcotest.run "views" [ ("views", tests) ]
