@@ -14,7 +14,7 @@ let g_nodes = Telemetry.gauge "bdd.live_nodes"
 
 type man = {
   mutable nvars : int;
-  mutable limit : int;
+  limit : int;
   mutable var_ : int array;
   mutable low_ : int array;
   mutable high_ : int array;
@@ -61,8 +61,6 @@ let add_vars m k =
 
 let num_nodes m = m.n - m.free_n
 let node_limit m = m.limit
-let set_node_limit m l = m.limit <- l
-let clear_caches m = Hashtbl.reset m.cache
 
 let zero _ = f0
 let one _ = f1

@@ -38,8 +38,6 @@ val num_nodes : man -> int
 (** Live nodes (terminals included). *)
 
 val node_limit : man -> int
-val set_node_limit : man -> int -> unit
-val clear_caches : man -> unit
 
 (* Garbage collection. Nodes are reclaimed by explicit mark-and-sweep:
    anything not reachable from the given roots or from the protected
@@ -138,9 +136,10 @@ val density : man -> t -> float
 
 val count_minterms : man -> over:int -> t -> float
 (** [count_minterms m ~over f] is the number of satisfying minterms of
-    [f] counted over a space of [over] variables; [f]'s support must
-    not exceed [over] variables... counted as [density *. 2.0 ** over].
-    Callers use it after projecting onto a small signal set. *)
+    [f] counted over a space of [over] variables, which must include
+    [f]'s support: [density *. 2.0 ** over]. Every density then has at
+    most [over] fractional bits, so the count is exact while [over] <=
+    53. Callers use it after projecting onto a small signal set. *)
 
 val eval : man -> t -> (int -> bool) -> bool
 

@@ -2,7 +2,4 @@ type t = { name : string; bad : int }
 
 let make ~name ~bad = { name; bad }
 let of_output c name = { name; bad = Circuit.output c name }
-
-let of_output_opt c name =
-  Option.map (fun bad -> { name; bad }) (Circuit.output_opt c name)
 let roots t = [ t.bad ]

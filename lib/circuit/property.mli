@@ -17,8 +17,6 @@ val of_output : Circuit.t -> string -> t
 (** Property watching a declared circuit output (by name). Raises
     [Invalid_argument] naming the output when it is not declared. *)
 
-val of_output_opt : Circuit.t -> string -> t option
-
 val roots : t -> int list
 (** The signals "mentioned in the property" — seeds of the very first
     abstract model. *)

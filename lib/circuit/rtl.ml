@@ -25,8 +25,6 @@ let map2 name f a bword =
   Array.init (width a) (fun i -> f a.(i) bword.(i))
 
 let not_ b a = Array.map (B.not_ b) a
-let and_ b a c = map2 "and_" (B.and2 b) a c
-let or_ b a c = map2 "or_" (B.or2 b) a c
 let xor_ b a c = map2 "xor_" (B.xor2 b) a c
 let mux b sel d0 d1 = map2 "mux" (fun x y -> B.mux b sel x y) d0 d1
 

@@ -23,8 +23,6 @@ val connect : Circuit.Builder.c -> word -> word -> unit
 val const : Circuit.Builder.c -> width:int -> int -> word
 
 val not_ : Circuit.Builder.c -> word -> word
-val and_ : Circuit.Builder.c -> word -> word -> word
-val or_ : Circuit.Builder.c -> word -> word -> word
 val xor_ : Circuit.Builder.c -> word -> word -> word
 
 val mux : Circuit.Builder.c -> int -> word -> word -> word

@@ -22,12 +22,6 @@ type report = {
   failure : F.t option;
 }
 
-let state_code ~coverage value =
-  List.fold_left
-    (fun (code, bit) s -> ((code lor if value s then 1 lsl bit else 0), bit + 1))
-    (0, 0) coverage
-  |> fst
-
 let check_coverage circuit coverage =
   if coverage = [] then invalid_arg "Coverage: empty coverage set";
   if List.length coverage > 24 then
@@ -38,85 +32,116 @@ let check_coverage circuit coverage =
         invalid_arg "Coverage: coverage signals must be registers")
     coverage
 
-(* BDD (over current-state variables) of the coverage states whose
-   status satisfies [keep]: one recursive descent per signal, sharing
-   through the manager's unique table. *)
-let states_bdd vm ~coverage ~status ~keep =
-  let man = Varmap.man vm in
-  (* Recurse over coverage signals sorted by BDD level so the result is
-     built in order. *)
-  let by_level =
-    List.mapi (fun i s -> (Varmap.cur_var vm s, i)) coverage
-    |> List.sort compare
-  in
-  let rec build code = function
-    | [] -> if keep status.(code) then Bdd.one man else Bdd.zero man
-    | (v, bit) :: rest ->
-      Bdd.ite man (Bdd.var man v)
-        (build (code lor (1 lsl bit)) rest)
-        (build code rest)
-  in
-  build 0 by_level
+(* The coverage-state sets of one analysis, as BDDs in a side manager
+   of its own whose variable i is coverage bit i, so they outlive every
+   session manager. The two sets are disjoint; the unreachable states
+   are the rest. *)
+type sets = {
+  side : Bdd.man;
+  bits : int;
+  mutable unknown : Bdd.t;
+  mutable reachable : Bdd.t;
+}
 
-(* Update [status]: minterms of [unknown ∧ ¬proj] become [Unreachable]
-   (only called when the fixpoint is complete, i.e. proj is a sound
-   over-approximation of the reachable coverage states). *)
-let mark_unreachable vm ~coverage ~status proj =
-  let man = Varmap.man vm in
-  let n = List.length coverage in
-  let vars = List.map (fun s -> Varmap.cur_var vm s) coverage in
-  for code = 0 to (1 lsl n) - 1 do
-    if status.(code) = Unknown then begin
-      let assignment =
-        let tbl = Hashtbl.create 31 in
-        List.iteri
-          (fun bit v -> Hashtbl.replace tbl v (code land (1 lsl bit) <> 0))
-          vars;
-        fun v -> try Hashtbl.find tbl v with Not_found -> false
-      in
-      if not (Bdd.eval man proj assignment) then status.(code) <- Unreachable
-    end
-  done
+let sets_for coverage =
+  let bits = List.length coverage in
+  let side = Bdd.create ~nvars:bits () in
+  { side; bits; unknown = Bdd.one side; reachable = Bdd.zero side }
 
-(* Concrete replay of a found trace, marking every coverage state the
-   design visits along the way as reachable. *)
-let mark_reachable circuit ~coverage ~status trace =
-  let frames = Sim3v.replay circuit trace in
-  let marked = ref 0 in
-  Array.iter
-    (fun vec ->
+(* The unknown states over [vm]'s current-state variables: the target
+   of the abstract fixpoint and of trace extraction. *)
+let unknown_in vm ~coverage sets =
+  let vars = Array.of_list (List.map (Varmap.cur_var vm) coverage) in
+  Bdd.rebuild ~src:sets.side ~dst:(Varmap.man vm) ~map:(Array.get vars)
+    sets.unknown
+
+(* Unknown states outside the projection of [reached] onto the
+   coverage signals become unreachable: quantify the other registers
+   out, map each coverage variable to its bit, intersect. Only sound
+   when [reached] is a complete fixpoint, which over-approximates the
+   reachable coverage states. *)
+let mark_unreachable vm ~coverage sets reached =
+  let man = Varmap.man vm in
+  let vars = List.map (Varmap.cur_var vm) coverage in
+  let others =
+    List.filter (fun v -> not (List.mem v vars)) (Varmap.cur_vars vm)
+  in
+  let bit = Array.make (Bdd.nvars man) (-1) in
+  List.iteri (fun i v -> bit.(v) <- i) vars;
+  let proj =
+    Bdd.rebuild ~src:man ~dst:sets.side ~map:(Array.get bit)
+      (Bdd.exists man others reached)
+  in
+  sets.unknown <- Bdd.dand sets.side sets.unknown proj
+
+(* Concrete replay of a found trace, marking every unknown coverage
+   state the design visits along the way as reachable. True when it
+   marked any. *)
+let mark_reachable circuit ~coverage sets trace =
+  let side = sets.side in
+  Array.fold_left
+    (fun marked vec ->
       let value s = Sim3v.Packed.read_lane vec s ~lane:0 in
-      let concrete = List.for_all (fun s -> value s <> Sim3v.VX) coverage in
-      if concrete then begin
-        let code = state_code ~coverage (fun s -> value s = Sim3v.V1) in
-        if status.(code) = Unknown then begin
-          status.(code) <- Reachable;
-          incr marked
-        end
-      end)
-    frames;
-  !marked
+      if List.exists (fun s -> value s = Sim3v.VX) coverage then marked
+      else
+        let cube =
+          Bdd.cube side
+            (List.mapi (fun i s -> (i, value s = Sim3v.V1)) coverage)
+        in
+        let unknown = Bdd.diff side sets.unknown cube in
+        if Bdd.equal unknown sets.unknown then marked
+        else begin
+          sets.unknown <- unknown;
+          sets.reachable <- Bdd.dor side sets.reachable cube;
+          true
+        end)
+    false (Sim3v.replay circuit trace)
 
-let count status v = Array.fold_left (fun n s -> if s = v then n + 1 else n) 0 status
+let count sets f = int_of_float (Bdd.count_minterms sets.side ~over:sets.bits f)
 
-let report_of ?failure ~status ~abstract_regs ~iterations ~seconds () =
+(* The per-code status array, by one descent over both sets that
+   cofactors on bit i at depth i; a subtree in neither set keeps the
+   array's default, [Unreachable]. *)
+let status_of sets =
+  let side = sets.side in
+  let status = Array.make (1 lsl sets.bits) Unreachable in
+  let split i f =
+    if Bdd.is_terminal f || Bdd.topvar side f <> i then (f, f)
+    else (Bdd.low side f, Bdd.high side f)
+  in
+  let rec fill i code u r =
+    if Bdd.is_zero u && Bdd.is_zero r then ()
+    else if i = sets.bits then
+      status.(code) <- (if Bdd.is_one u then Unknown else Reachable)
+    else begin
+      let u0, u1 = split i u and r0, r1 = split i r in
+      fill (i + 1) code u0 r0;
+      fill (i + 1) (code lor (1 lsl i)) u1 r1
+    end
+  in
+  fill 0 0 sets.unknown sets.reachable;
+  status
+
+let report_of ?failure sets ~abstract_regs ~iterations ~seconds () =
+  let total = 1 lsl sets.bits in
+  let unknown = count sets sets.unknown
+  and reachable = count sets sets.reachable in
   {
-    total = Array.length status;
-    unreachable = count status Unreachable;
-    reachable = count status Reachable;
-    unknown = count status Unknown;
+    total;
+    unreachable = total - unknown - reachable;
+    reachable;
+    unknown;
     abstract_regs;
     iterations;
     seconds;
-    status;
+    status = status_of sets;
     failure;
   }
 
 let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
   check_coverage circuit coverage;
   let started = Telemetry.now () in
-  let n = List.length coverage in
-  let status = Array.make (1 lsl n) Unknown in
+  let sets = sets_for coverage in
   let out_of_time () =
     match config.Rfn.max_seconds with
     | Some budget -> Telemetry.now () -. started > budget
@@ -137,22 +162,20 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
   let rec iterate iter =
     let abstraction = Session.abstraction session in
     let done_ ?failure last_regs =
-      report_of ?failure ~status ~abstract_regs:last_regs ~iterations:iter
+      report_of ?failure sets ~abstract_regs:last_regs ~iterations:iter
         ~seconds:(Telemetry.now () -. started) ()
     in
     let regs_now = Abstraction.num_regs abstraction in
     if
       iter > config.Rfn.max_iterations
       || out_of_time ()
-      || count status Unknown = 0
+      || Bdd.is_zero sets.unknown
     then done_ regs_now
     else
       match
         let { Session.vm; img; _ } = Session.prepare session in
         let init = Symbolic.initial_states vm in
-        let unknown_states =
-          states_bdd vm ~coverage ~status ~keep:(fun s -> s = Unknown)
-        in
+        let unknown_states = unknown_in vm ~coverage sets in
         (* The fixpoint runs to closure even after touching unknown
            states: the projection of the complete reachable set is what
            identifies unreachable coverage states (paper, Section 3). *)
@@ -170,14 +193,6 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
                F.Nodes)
           regs_now
       | vm, res, unknown_states -> (
-        let project reached =
-          Bdd.exists (Varmap.man vm)
-            (List.filter
-               (fun v ->
-                 not (List.exists (fun s -> Varmap.cur_var vm s = v) coverage))
-               (Varmap.cur_vars vm))
-            reached
-        in
         (* Chase one abstract-reachable unknown state: extract an
            abstract error trace at the first ring touching the unknown
            set, concretize it, and either mark the visited coverage
@@ -217,9 +232,8 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
                 circuit ~abstract_trace
             with
             | Concretize.Found t, _ ->
-              let marked = mark_reachable circuit ~coverage ~status t in
-              if marked = 0 then refine_and_continue ()
-              else iterate (iter + 1)
+              if mark_reachable circuit ~coverage sets t then iterate (iter + 1)
+              else refine_and_continue ()
             | (Concretize.Not_found_here | Concretize.Gave_up _), _ ->
               refine_and_continue ())
         in
@@ -227,12 +241,12 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
         | Reach.Proved ->
           (* Closed fixpoint never touching an unknown state: all of
              them are unreachable (the abstraction over-approximates). *)
-          Array.iteri
-            (fun i s -> if s = Unknown then status.(i) <- Unreachable)
-            status;
+          sets.unknown <- Bdd.zero sets.side;
           done_ regs_now
         | Reach.Closed k ->
-          mark_unreachable vm ~coverage ~status (project res.Reach.reached);
+          (* [chase] still targets [unknown_states], the unknown set as
+             it was before this marking *)
+          mark_unreachable vm ~coverage sets res.Reach.reached;
           chase k
         | Reach.Reached k -> chase k (* not taken with stop_at_bad:false *)
         | Reach.Aborted _ -> (
@@ -312,8 +326,7 @@ let bfs_analysis ?(k = 60) ?(node_limit = 2_000_000) ?(max_steps = 2_000)
     ?max_seconds circuit ~coverage =
   check_coverage circuit coverage;
   let started = Telemetry.now () in
-  let n = List.length coverage in
-  let status = Array.make (1 lsl n) Unknown in
+  let sets = sets_for coverage in
   let regs = closest_registers circuit ~coverage ~k in
   let abstraction = Abstraction.with_regs circuit ~roots:coverage ~regs in
   let abstract_regs = Abstraction.num_regs abstraction in
@@ -338,15 +351,7 @@ let bfs_analysis ?(k = 60) ?(node_limit = 2_000_000) ?(max_steps = 2_000)
     | vm, res -> (
       match res.Reach.outcome with
       | Reach.Proved ->
-        let proj =
-          Bdd.exists (Varmap.man vm)
-            (List.filter
-               (fun v ->
-                 not (List.exists (fun s -> Varmap.cur_var vm s = v) coverage))
-               (Varmap.cur_vars vm))
-            res.Reach.reached
-        in
-        mark_unreachable vm ~coverage ~status proj;
+        mark_unreachable vm ~coverage sets res.Reach.reached;
         None
       | Reach.Aborted r ->
         (* partial reach (step or time budget): the projection argument
@@ -358,7 +363,5 @@ let bfs_analysis ?(k = 60) ?(node_limit = 2_000_000) ?(max_steps = 2_000)
           (bfs_failure
              (F.Invariant "reachability touched an empty target set")))
   in
-  report_of ?failure ~status ~abstract_regs ~iterations:1
+  report_of ?failure sets ~abstract_regs ~iterations:1
     ~seconds:(Telemetry.now () -. started) ()
-
-let closest_registers_for_test = closest_registers

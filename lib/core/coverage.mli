@@ -28,7 +28,11 @@ type report = {
   abstract_regs : int;  (** registers in the final abstract model *)
   iterations : int;
   seconds : float;
-  status : status array;  (** indexed by coverage-state code *)
+  status : status array;
+      (** indexed by coverage-state code: bit i of the code is the
+          value of the i-th signal in [coverage]. The analyses keep the
+          unknown and reachable states as BDDs over the coverage bits;
+          this array is built from them once, when the report is. *)
   failure : Rfn_failure.t option;
       (** why the analysis stopped early, when an engine did: a BDD
           node blow-up, an aborted fixpoint or a failed trace
@@ -37,10 +41,6 @@ type report = {
           counts are sound either way — a failure only means fewer
           states were classified. *)
 }
-
-val state_code : coverage:int list -> (int -> bool) -> int
-(** Encode a valuation of the coverage signals (bit i = value of the
-    i-th signal in [coverage]). *)
 
 val rfn_analysis :
   ?config:Rfn.config ->
@@ -59,9 +59,3 @@ val bfs_analysis :
   coverage:int list ->
   report
 (** [k] defaults to 60, the paper's BFS abstract-model size. *)
-
-val closest_registers_for_test :
-  Rfn_circuit.Circuit.t -> coverage:int list -> k:int -> int list
-(** The BFS baseline's register selection (exposed for tests and
-    diagnostics): registers within the smallest dependency distance of
-    the coverage signals, capped at [k]. *)

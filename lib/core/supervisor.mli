@@ -117,10 +117,6 @@ val inject_of_spec : string -> (site -> fault option) option
     the chaos tests assert. Raises [Invalid_argument] on an unknown
     tag. *)
 
-val inject_of_env : unit -> (site -> fault option) option
-(** {!inject_of_spec} of [RFN_INJECT_FAULTS], or [None] when unset
-    (a malformed value is reported on stderr and ignored). *)
-
 val run :
   t ->
   site:site ->

@@ -125,8 +125,6 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
 let make ?cluster_size vm =
   fst (build ?cluster_size ~fn:(Symbolic.functions vm) ~cache:(cache ()) vm)
 
-let num_clusters (t : t) = Array.length t.clusters
-
 let post t q =
   Telemetry.incr c_post;
   Telemetry.time_hist h_step @@ fun () ->

@@ -50,8 +50,6 @@ val make : ?cluster_size:int -> Varmap.t -> t
     with a throwaway cache (default cluster size bound: 5000 nodes).
     May raise [Rfn_bdd.Bdd.Limit_exceeded]. *)
 
-val num_clusters : t -> int
-
 val post : t -> Rfn_bdd.Bdd.t -> Rfn_bdd.Bdd.t
 (** [post t q]: states reachable in one step from [q] (both over
     current-state variables). *)

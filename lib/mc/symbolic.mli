@@ -21,16 +21,6 @@ val functions : Varmap.t -> (int -> Rfn_bdd.Bdd.t)
     variables (free inputs). Raises [Invalid_argument] for signals
     outside the view. May raise [Rfn_bdd.Bdd.Limit_exceeded]. *)
 
-val functions_for :
-  Varmap.t -> Rfn_circuit.Sview.t -> (int -> Rfn_bdd.Bdd.t)
-(** Like {!functions} but over a different view of the same circuit
-    sharing the varmap's manager and variable assignments — used for
-    the min-cut design, whose cut signals must first receive input
-    variables through {!Varmap.add_input_vars}. Every free signal of
-    the view needs an [Inp] variable and every register a [Cur]
-    variable, else [Invalid_argument] — naming the offending signal —
-    is raised during construction. *)
-
 val initial_states : Varmap.t -> Rfn_bdd.Bdd.t
 (** Conjunction of the registers' initial values over [Cur] variables;
     [`Free] registers are unconstrained. *)

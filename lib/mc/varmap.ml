@@ -273,7 +273,6 @@ let role t v =
 let vars_of tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl []
 
 let cur_vars t = List.sort compare (vars_of t.cur)
-let nxt_vars t = List.sort compare (vars_of t.nxt)
 let inp_vars t = t.initial_inp
 
 let add_input_vars t signals =

@@ -97,7 +97,6 @@ val role : t -> int -> role
     without an allocated role. *)
 
 val cur_vars : t -> int list
-val nxt_vars : t -> int list
 val inp_vars : t -> int list
 (** Input variables allocated by [make] (excludes later additions). *)
 

@@ -6,13 +6,10 @@ let tracked_gauges =
 
 let probes : (string, unit -> int) Hashtbl.t = Hashtbl.create 8
 let register name probe = Hashtbl.replace probes name probe
-let heap_words = ref 0
-let last_heap_words () = !heap_words
 
 let tick label =
   if Telemetry.enabled () then begin
     let gc = Gc.quick_stat () in
-    heap_words := gc.Gc.heap_words;
     let allocated_words =
       int_of_float (gc.Gc.minor_words +. gc.Gc.major_words)
     in

@@ -22,7 +22,3 @@ val tick : string -> unit
 (** [tick label] snapshots GC statistics, the tracked gauges and every
     registered probe, tagged with the phase-boundary [label]. No-op
     when the telemetry registry is disabled. *)
-
-val last_heap_words : unit -> int
-(** Heap words seen by the most recent {!tick} (0 before any tick) —
-    exposed for tests and reports. *)

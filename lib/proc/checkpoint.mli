@@ -15,7 +15,7 @@
     torn file. *)
 
 type t = {
-  version : int;  (** format version; {!current_version} when built here *)
+  version : int;  (** format version: {!make} writes the current one *)
   netlist_hash : string;  (** {!hash_circuit} of the design under proof *)
   property : string;  (** property name the run was verifying *)
   job_id : string;
@@ -37,8 +37,6 @@ type t = {
       (** completed-iteration records, oldest first *)
 }
 
-val current_version : int
-
 val hash_circuit : Rfn_circuit.Circuit.t -> string
 (** Hex digest of the canonical BENCH rendering: stable across loads
     of the same design, different for any structural change. *)
@@ -54,7 +52,8 @@ val make :
   provenance:Rfn_obs.Provenance.t list ->
   unit ->
   t
-(** A {!current_version} checkpoint. [job_id] defaults to [""]
+(** A checkpoint in the current format version, the only one {!load}
+    accepts. [job_id] defaults to [""]
     (stand-alone run). *)
 
 val save : string -> t -> unit

@@ -60,9 +60,6 @@ val add_clause : t -> lit list -> unit
 
 type limits = { max_conflicts : int; max_seconds : float option }
 
-val no_limits : limits
-(** [max_int] conflicts, no time budget. *)
-
 type result =
   | Sat  (** a model is available through {!value} *)
   | Unsat  (** unsatisfiable under the given assumptions *)
@@ -70,7 +67,8 @@ type result =
       (** a budget ran out first: [Conflicts] or [Time] *)
 
 val solve : ?limits:limits -> ?assumptions:lit list -> t -> result
-(** Solve the current clause set under the assumptions. The solver
+(** Solve the current clause set under the assumptions; [limits]
+    defaults to [max_int] conflicts and no time budget. The solver
     remains usable after any result; learned clauses are kept. *)
 
 val value : t -> int -> bool

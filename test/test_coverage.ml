@@ -5,6 +5,11 @@ module Coverage = Rfn_core.Coverage
 module Rfn = Rfn_core.Rfn
 module B = Circuit.Builder
 
+(* A valuation's coverage-state code: bit i is the i-th signal. *)
+let state_code ~coverage value =
+  List.fold_left (fun code s -> (2 * code) + Bool.to_int (value s)) 0
+    (List.rev coverage)
+
 (* Exact coverage-state reachability by explicit search. *)
 let exact_reachable_codes circuit coverage =
   let reachable = Helpers.explicit_reachable circuit in
@@ -17,11 +22,12 @@ let exact_reachable_codes circuit coverage =
   Hashtbl.iter
     (fun code () ->
       let value r = code land (1 lsl idx r) <> 0 in
-      Hashtbl.replace codes (Coverage.state_code ~coverage value) ())
+      Hashtbl.replace codes (state_code ~coverage value) ())
     reachable;
   codes
 
-(* One-hot ring of 3 registers: of 8 coverage states only 3 reachable. *)
+(* One-hot ring of 3 registers: of 8 coverage states only 3 reachable.
+   A fourth register, [off], is stuck at 0. *)
 let ring_design () =
   let b = B.create () in
   let advance = B.input b "advance" in
@@ -31,6 +37,8 @@ let ring_design () =
   B.connect b r0 (B.mux b advance r0 r2);
   B.connect b r1 (B.mux b advance r1 r0);
   B.connect b r2 (B.mux b advance r2 r1);
+  let off = B.reg b "off" in
+  B.connect b off off;
   B.output b "r0" r0;
   (B.finalize b, [ r0; r1; r2 ])
 
@@ -70,9 +78,22 @@ let test_bfs_ring () =
   let report = Coverage.bfs_analysis ~k:3 c ~coverage in
   Alcotest.(check int) "bfs finds the same five" 5 report.Coverage.unreachable
 
+(* The report's counts partition [total] and agree with [status]. *)
+let partitioned (r : Coverage.report) =
+  let with_status v =
+    Array.fold_left (fun k s -> if s = v then k + 1 else k) 0 r.Coverage.status
+  in
+  Array.length r.Coverage.status = r.Coverage.total
+  && r.Coverage.unknown + r.Coverage.reachable + r.Coverage.unreachable
+     = r.Coverage.total
+  && with_status Coverage.Unknown = r.Coverage.unknown
+  && with_status Coverage.Reachable = r.Coverage.reachable
+  && with_status Coverage.Unreachable = r.Coverage.unreachable
+
 let coverage_sound_random =
   (* soundness on random circuits: states marked Unreachable must not
-     be reachable explicitly, Reachable ones must be *)
+     be reachable explicitly, Reachable ones must be; the counts
+     partition the states *)
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:40 ~name:"coverage verdicts sound (random)"
        (Helpers.arbitrary_circuit ~nins:2 ~nregs:4 ~ngates:10)
@@ -92,7 +113,7 @@ let coverage_sound_random =
                if not (Hashtbl.mem exact code) then ok := false
              | Coverage.Unknown -> ())
            report.Coverage.status;
-         !ok))
+         !ok && partitioned report))
 
 let bfs_sound_random =
   QCheck_alcotest.to_alcotest
@@ -110,7 +131,7 @@ let bfs_sound_random =
              if status = Coverage.Unreachable && Hashtbl.mem exact code then
                ok := false)
            report.Coverage.status;
-         !ok))
+         !ok && partitioned report))
 
 let test_rfn_at_least_bfs =
   QCheck_alcotest.to_alcotest
@@ -124,11 +145,23 @@ let test_rfn_at_least_bfs =
          let bfs = Coverage.bfs_analysis ~k:2 c ~coverage in
          rfn.Coverage.unreachable >= bfs.Coverage.unreachable))
 
-let test_state_code () =
-  let code = Coverage.state_code ~coverage:[ 10; 20; 30 ] (fun s -> s = 20) in
-  Alcotest.(check int) "bit 1 set" 2 code;
-  let code = Coverage.state_code ~coverage:[ 10; 20; 30 ] (fun _ -> true) in
-  Alcotest.(check int) "all set" 7 code
+(* [status] is indexed by code, bit i = the i-th coverage signal: over
+   [r0; off] the ring reaches codes 0 and 1 (r0 either way, off = 0);
+   the reversed encoding would read them as 0 and 2. *)
+let test_status_encoding () =
+  let c, coverage = ring_design () in
+  let coverage = [ List.hd coverage; Circuit.find c "off" ] in
+  let report = Coverage.rfn_analysis ~config:(config 20.0) c ~coverage in
+  Alcotest.(check (list string))
+    "status by code"
+    [ "reachable"; "reachable"; "unreachable"; "unreachable" ]
+    (Array.to_list
+       (Array.map
+          (function
+            | Coverage.Reachable -> "reachable"
+            | Coverage.Unreachable -> "unreachable"
+            | Coverage.Unknown -> "unknown")
+          report.Coverage.status))
 
 let test_validation () =
   let c, coverage = ring_design () in
@@ -149,7 +182,7 @@ let tests =
     coverage_sound_random;
     bfs_sound_random;
     test_rfn_at_least_bfs;
-    Alcotest.test_case "state_code" `Quick test_state_code;
+    Alcotest.test_case "status index encoding" `Quick test_status_encoding;
     Alcotest.test_case "argument validation" `Quick test_validation;
   ]
 
