@@ -15,19 +15,33 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning)
 
-let load path =
-  try Ok (Netlist_io.load path) with
-  | Failure msg -> Error msg
-  | Sys_error msg -> Error msg
+(* Each subcommand body is a chain of [result] steps: [Ok code] is the
+   exit code, [Error msg] a user error, printed as "error: msg" with
+   exit 1. *)
+let ( let* ) = Result.bind
 
-(* Write a user-named output file: an I/O failure (a missing
-   directory, no permission) is a user error, exit 1; [ok] otherwise. *)
-let write_out ~ok f =
-  match f () with
-  | () -> ok
-  | exception Sys_error msg ->
+let exit_code = function
+  | Ok code -> code
+  | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
+
+let load path =
+  try Ok (Netlist_io.load path) with Failure msg | Sys_error msg -> Error msg
+
+let output_property circuit name =
+  try Ok (Property.of_output circuit name)
+  with Invalid_argument _ -> Error (Printf.sprintf "no output named %S" name)
+
+(* Write a user-named output file: an I/O failure (a missing
+   directory, no permission) is a user error; [Ok ok] otherwise. *)
+let write_out ~ok f =
+  match f () with () -> Ok ok | exception Sys_error msg -> Error msg
+
+let netlist_arg =
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
+
+let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ])
 
 let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
     ~inject ~race ~checkpoint ~resume =
@@ -100,29 +114,22 @@ let profile_arg =
           "Record telemetry and print an end-of-run report: per-phase wall \
            time, engine counters, BDD cache hit rate.")
 
-let setup_telemetry ?(trace_out = None) ~metrics_out ~profile () =
+(* Open the telemetry sinks, run [f], and tear down whatever happens,
+   so --metrics-out / --trace-out files are flushed and well-formed
+   even when the engine aborts by exception. *)
+let with_telemetry ?trace_out ~metrics_out ~profile f =
   match
-    (match metrics_out with
-    | Some file -> Telemetry.attach_jsonl file
-    | None -> ());
-    match trace_out with
-    | Some file -> Telemetry.attach_trace file
-    | None -> ()
+    Option.iter Telemetry.attach_jsonl metrics_out;
+    Option.iter Telemetry.attach_trace trace_out
   with
+  | exception Sys_error msg -> Error ("cannot open telemetry sink: " ^ msg)
   | () ->
     if profile then Telemetry.enable ();
-    Ok ()
-  | exception Sys_error msg -> Error ("cannot open telemetry sink: " ^ msg)
-
-let teardown_telemetry ~profile =
-  if profile then Format.printf "%a" Telemetry.pp_report ();
-  Telemetry.detach ()
-
-(* Run [f] with the teardown guaranteed, so --metrics-out / --trace-out
-   files are flushed and well-formed even when the engine aborts by
-   exception. *)
-let with_telemetry ~profile f =
-  Fun.protect ~finally:(fun () -> teardown_telemetry ~profile) f
+    Fun.protect
+      ~finally:(fun () ->
+        if profile then Format.printf "%a" Telemetry.pp_report ();
+        Telemetry.detach ())
+      f
 
 (* --analyze pre-flight shared by verify, bmc and serve: infer and
    inductively prove netlist invariants, then feed them to every
@@ -166,9 +173,6 @@ let preflight ~enabled circuit props =
 (* ---- rfn verify ---------------------------------------------------- *)
 
 let verify_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let prop =
     Arg.(
       required
@@ -195,8 +199,7 @@ let verify_cmd =
           ~doc:
             "Run concretization and the refinement re-check as races over \
              process-isolated engine workers (first conclusive answer wins, \
-             losers are cancelled). Equivalent to $(b,RFN_RACE=1); worker \
-             knobs come from the $(b,RFN_PROC_*) environment variables.")
+             losers are cancelled). Equivalent to $(b,RFN_RACE=1).")
   in
   let checkpoint =
     Arg.(
@@ -225,114 +228,92 @@ let verify_cmd =
       & opt ~vopt:(Some "all") (some string) None
       & info [ "inject-faults" ] ~docv:"SITES" ~docs:Cmdliner.Manpage.s_none)
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
   let run netlist prop seconds nodes iters engines analyze trace_out baseline
       race checkpoint resume inject_faults lint metrics_out chrome_trace
       profile verbose =
     setup_logs verbose;
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit -> (
-      match Property.of_output circuit prop with
-      | exception Invalid_argument _ ->
-        Format.eprintf "error: no output named %S@." prop;
-        1
-      | property when not (preflight ~enabled:lint circuit [ property ]) -> 1
-      | property -> (
-        match
-          match inject_faults with
-          | None -> Ok None
-          | Some spec -> (
-            (* "off" parses to no hook; still pass an inert one so the
-               environment variable cannot re-enable injection *)
-            try
-              Ok
-                (Some
-                   (match Rfn_core.Supervisor.inject_of_spec spec with
-                   | Some hook -> hook
-                   | None -> fun _ -> None))
-            with Invalid_argument msg -> Error msg)
-        with
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-        | Ok inject -> (
-        match
-          setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile ()
-        with
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-        | Ok () ->
-        with_telemetry ~profile @@ fun () ->
-        let config =
-          config_of ~max_seconds:seconds ~node_limit:nodes
-            ~max_iterations:iters ~engines ~analyze ~inject ~race ~checkpoint
-            ~resume
+    exit_code
+    @@
+    let* circuit = load netlist in
+    let* property = output_property circuit prop in
+    if not (preflight ~enabled:lint circuit [ property ]) then Ok 1
+    else
+      let* inject =
+        match inject_faults with
+        | None -> Ok None
+        | Some spec -> (
+          (* "off" parses to no hook; still pass an inert one so the
+             environment variable cannot re-enable injection *)
+          try
+            Ok
+              (Some
+                 (match Rfn_core.Supervisor.inject_of_spec spec with
+                 | Some hook -> hook
+                 | None -> fun _ -> None))
+          with Invalid_argument msg -> Error msg)
+      in
+      with_telemetry ?trace_out:chrome_trace ~metrics_out ~profile @@ fun () ->
+      let config =
+        config_of ~max_seconds:seconds ~node_limit:nodes ~max_iterations:iters
+          ~engines ~analyze ~inject ~race ~checkpoint ~resume
+      in
+      let outcome, stats = Rfn.verify ~config circuit property in
+      Format.printf
+        "COI: %d registers, %d gates; %d iteration(s); final abstract model: \
+         %d registers; %.2fs@."
+        stats.Rfn.coi_regs stats.Rfn.coi_gates
+        (List.length stats.Rfn.provenance - stats.Rfn.resumed_iterations)
+        stats.Rfn.final_abstract_regs stats.Rfn.seconds;
+      if stats.Rfn.resumed_iterations > 0 then
+        Format.printf "resumed past %d checkpointed iteration(s)@."
+          stats.Rfn.resumed_iterations;
+      if baseline then begin
+        let verdict, secs =
+          Rfn.check_coi_model_checking ?max_seconds:seconds circuit property
         in
-        let outcome, stats = Rfn.verify ~config circuit property in
-        Format.printf
-          "COI: %d registers, %d gates; %d iteration(s); final abstract \
-           model: %d registers; %.2fs@."
-          stats.Rfn.coi_regs stats.Rfn.coi_gates
-          (List.length stats.Rfn.provenance - stats.Rfn.resumed_iterations)
-          stats.Rfn.final_abstract_regs stats.Rfn.seconds;
-        if stats.Rfn.resumed_iterations > 0 then
-          Format.printf "resumed past %d checkpointed iteration(s)@."
-            stats.Rfn.resumed_iterations;
-        if baseline then begin
-          let verdict, secs =
-            Rfn.check_coi_model_checking ?max_seconds:seconds circuit property
-          in
-          Format.printf "COI model checking baseline: %s (%.2fs)@."
-            (match verdict with
-            | `Proved -> "True"
-            | `Reached k -> Printf.sprintf "False at depth %d" k
-            | `Aborted r -> "fails — " ^ Rfn_failure.resource_to_string r)
-            secs
-        end;
-        match outcome with
-        | Rfn.Proved ->
-          Format.printf "RESULT: True (bad states unreachable)@.";
-          0
-        | Rfn.Falsified trace ->
-          Format.printf "RESULT: False — %d-cycle error trace@."
-            (Trace.length trace - 1);
-          let pp_trace ppf =
-            Format.fprintf ppf "%a@." (Trace.pp ~names:(Circuit.name circuit))
-              trace
-          in
-          (match trace_out with
-          | Some file ->
-            write_out ~ok:2 (fun () ->
-                let oc = open_out file in
-                pp_trace (Format.formatter_of_out_channel oc);
-                close_out oc)
-          | None ->
-            pp_trace Format.std_formatter;
-            2)
-        | Rfn.Aborted why ->
-          Format.printf "RESULT: inconclusive (%s)@."
-            (Rfn_failure.to_string why);
-          3)))
+        Format.printf "COI model checking baseline: %s (%.2fs)@."
+          (match verdict with
+          | `Proved -> "True"
+          | `Reached k -> Printf.sprintf "False at depth %d" k
+          | `Aborted r -> "fails — " ^ Rfn_failure.resource_to_string r)
+          secs
+      end;
+      match outcome with
+      | Rfn.Proved ->
+        Format.printf "RESULT: True (bad states unreachable)@.";
+        Ok 0
+      | Rfn.Falsified trace -> (
+        Format.printf "RESULT: False — %d-cycle error trace@."
+          (Trace.length trace - 1);
+        let pp_trace ppf =
+          Format.fprintf ppf "%a@." (Trace.pp ~names:(Circuit.name circuit))
+            trace
+        in
+        match trace_out with
+        | Some file ->
+          write_out ~ok:2 (fun () ->
+              let oc = open_out file in
+              pp_trace (Format.formatter_of_out_channel oc);
+              close_out oc)
+        | None ->
+          pp_trace Format.std_formatter;
+          Ok 2)
+      | Rfn.Aborted why ->
+        Format.printf "RESULT: inconclusive (%s)@." (Rfn_failure.to_string why);
+        Ok 3
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Verify that an output signal can never be driven to 1.")
     Term.(
-      const run $ netlist $ prop $ seconds $ nodes $ iters $ engines_arg
+      const run $ netlist_arg $ prop $ seconds $ nodes $ iters $ engines_arg
       $ analyze_arg $ trace_out $ baseline $ race $ checkpoint $ resume
       $ inject_faults $ lint_arg $ metrics_out_arg $ trace_out_arg
-      $ profile_arg $ verbose)
+      $ profile_arg $ verbose_arg)
 
 (* ---- rfn coverage --------------------------------------------------- *)
 
 let coverage_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let signals =
     Arg.(
       non_empty
@@ -342,65 +323,53 @@ let coverage_cmd =
   let budget = Arg.(value & opt float 60.0 & info [ "budget" ] ~docv:"S") in
   let bfs = Arg.(value & flag & info [ "bfs" ] ~doc:"Use the BFS baseline.") in
   let bfs_k = Arg.(value & opt int 60 & info [ "bfs-k" ] ~docv:"N") in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
   let run netlist signals budget bfs bfs_k metrics_out profile verbose =
     setup_logs verbose;
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit -> (
-      match List.map (Circuit.find circuit) signals with
-      | exception Not_found ->
-        Format.eprintf "error: unknown coverage signal@.";
-        1
-      | coverage -> (
-        match setup_telemetry ~metrics_out ~profile () with
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-        | Ok () ->
-        with_telemetry ~profile @@ fun () ->
-        match
-          if bfs then
-            Coverage.bfs_analysis ~k:bfs_k ~max_seconds:budget circuit
-              ~coverage
-          else
-            Coverage.rfn_analysis
-              ~config:
-                {
-                  Rfn.default_config with
-                  Rfn.max_seconds = Some budget;
-                  max_iterations = 1_000;
-                }
-              circuit ~coverage
-        with
-        | exception Invalid_argument msg ->
-          (* a coverage set that is not registers, or too large *)
-          Format.eprintf "error: %s@." msg;
-          1
-        | report ->
-        Format.printf
-          "%d coverage states: %d unreachable, %d proven reachable, %d \
-           unknown (%.2fs; abstract model %d registers)@."
-          report.Coverage.total report.Coverage.unreachable
-          report.Coverage.reachable report.Coverage.unknown
-          report.Coverage.seconds report.Coverage.abstract_regs;
-        0))
+    exit_code
+    @@
+    let* circuit = load netlist in
+    let* coverage =
+      try Ok (List.map (Circuit.find circuit) signals)
+      with Not_found -> Error "unknown coverage signal"
+    in
+    with_telemetry ~metrics_out ~profile @@ fun () ->
+    let* report =
+      try
+        Ok
+          (if bfs then
+             Coverage.bfs_analysis ~k:bfs_k ~max_seconds:budget circuit
+               ~coverage
+           else
+             Coverage.rfn_analysis
+               ~config:
+                 {
+                   Rfn.default_config with
+                   Rfn.max_seconds = Some budget;
+                   max_iterations = 1_000;
+                 }
+               circuit ~coverage)
+      with Invalid_argument msg ->
+        (* a coverage set that is not registers, or too large *)
+        Error msg
+    in
+    Format.printf
+      "%d coverage states: %d unreachable, %d proven reachable, %d unknown \
+       (%.2fs; abstract model %d registers)@."
+      report.Coverage.total report.Coverage.unreachable
+      report.Coverage.reachable report.Coverage.unknown report.Coverage.seconds
+      report.Coverage.abstract_regs;
+    Ok 0
   in
   Cmd.v
     (Cmd.info "coverage"
        ~doc:"Identify unreachable coverage states over a register set.")
     Term.(
-      const run $ netlist $ signals $ budget $ bfs $ bfs_k $ metrics_out_arg
-      $ profile_arg $ verbose)
+      const run $ netlist_arg $ signals $ budget $ bfs $ bfs_k
+      $ metrics_out_arg $ profile_arg $ verbose_arg)
 
 (* ---- rfn bmc --------------------------------------------------------- *)
 
 let bmc_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let prop =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUTPUT")
   in
@@ -419,78 +388,69 @@ let bmc_cmd =
              --max-backtracks bounds conflicts).")
   in
   let run netlist prop depth backtracks engine analyze lint =
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit -> (
-      match Circuit.output circuit prop with
-      | exception Invalid_argument _ ->
-        Format.eprintf "error: no output named %S@." prop;
-        1
-      | bad
-        when not
-               (preflight ~enabled:lint circuit
-                  [ Property.make ~name:prop ~bad ]) ->
-        1
-      | bad -> (
-        let limits =
-          { Rfn_atpg.Atpg.max_backtracks = backtracks; max_seconds = None }
-        in
-        (* --analyze: the SAT engine consumes the proven invariants as
-           persistent clauses; plain per-depth ATPG has no clause
-           database, so there the pre-flight only reports. *)
-        let analysis =
-          if not analyze then None
-          else begin
-            let a = Analysis.run circuit in
-            Format.eprintf
-              "analysis: %d invariant(s) proved (%d candidate(s), %.2fs)@."
-              a.Analysis.stats.Analysis.proved
-              a.Analysis.stats.Analysis.candidates a.Analysis.seconds;
-            Some a
-          end
-        in
-        let outcome, describe =
-          match engine with
-          | `Atpg ->
-            let outcome, stats =
-              Rfn_core.Bmc.falsify ~limits circuit ~bad ~max_depth:depth
-            in
-            ( outcome,
-              fun () ->
-                Printf.sprintf "%d decisions, %d backtracks"
-                  stats.Rfn_atpg.Atpg.decisions
-                  stats.Rfn_atpg.Atpg.backtracks )
-          | `Sat ->
-            let outcome, stats =
-              Rfn_core.Sat_bmc.(
-                falsify ~limits
-                  (unrolling ?analysis
-                     ~check:(Rfn_lint.Check.env_enabled ())
-                     circuit ~bad)
-                  ~max_depth:depth)
-            in
-            ( outcome,
-              fun () ->
-                Printf.sprintf "%d decisions, %d conflicts, %d propagations"
-                  stats.Rfn_sat.Solver.decisions stats.Rfn_sat.Solver.conflicts
-                  stats.Rfn_sat.Solver.propagations )
-        in
-        match outcome with
-        | Rfn_core.Bmc.Found trace ->
-          Format.printf "violated at depth %d (%s)@.%a@."
-            (Trace.length trace - 1)
-            (describe ())
-            (Trace.pp ~names:(Circuit.name circuit))
-            trace;
-          2
-        | Rfn_core.Bmc.Exhausted ->
-          Format.printf "no violation within %d cycles@." depth;
-          0
-        | Rfn_core.Bmc.Gave_up d ->
-          Format.printf "gave up at depth %d (resource limit)@." d;
-          3))
+    exit_code
+    @@
+    let* circuit = load netlist in
+    let* property = output_property circuit prop in
+    if not (preflight ~enabled:lint circuit [ property ]) then Ok 1
+    else
+      let bad = property.Property.bad in
+      let limits =
+        { Rfn_atpg.Atpg.max_backtracks = backtracks; max_seconds = None }
+      in
+      (* --analyze: the SAT engine consumes the proven invariants as
+         persistent clauses; plain per-depth ATPG has no clause
+         database, so there the pre-flight only reports. *)
+      let analysis =
+        if not analyze then None
+        else begin
+          let a = Analysis.run circuit in
+          Format.eprintf
+            "analysis: %d invariant(s) proved (%d candidate(s), %.2fs)@."
+            a.Analysis.stats.Analysis.proved
+            a.Analysis.stats.Analysis.candidates a.Analysis.seconds;
+          Some a
+        end
+      in
+      let outcome, describe =
+        match engine with
+        | `Atpg ->
+          let outcome, stats =
+            Rfn_core.Bmc.falsify ~limits circuit ~bad ~max_depth:depth
+          in
+          ( outcome,
+            fun () ->
+              Printf.sprintf "%d decisions, %d backtracks"
+                stats.Rfn_atpg.Atpg.decisions stats.Rfn_atpg.Atpg.backtracks )
+        | `Sat ->
+          let outcome, stats =
+            Rfn_core.Sat_bmc.(
+              falsify ~limits
+                (unrolling ?analysis
+                   ~check:(Rfn_lint.Check.env_enabled ())
+                   circuit ~bad)
+                ~max_depth:depth)
+          in
+          ( outcome,
+            fun () ->
+              Printf.sprintf "%d decisions, %d conflicts, %d propagations"
+                stats.Rfn_sat.Solver.decisions stats.Rfn_sat.Solver.conflicts
+                stats.Rfn_sat.Solver.propagations )
+      in
+      match outcome with
+      | Rfn_core.Bmc.Found trace ->
+        Format.printf "violated at depth %d (%s)@.%a@."
+          (Trace.length trace - 1)
+          (describe ())
+          (Trace.pp ~names:(Circuit.name circuit))
+          trace;
+        Ok 2
+      | Rfn_core.Bmc.Exhausted ->
+        Format.printf "no violation within %d cycles@." depth;
+        Ok 0
+      | Rfn_core.Bmc.Gave_up d ->
+        Format.printf "gave up at depth %d (resource limit)@." d;
+        Ok 3
   in
   Cmd.v
     (Cmd.info "bmc"
@@ -499,15 +459,12 @@ let bmc_cmd =
           sequential ATPG or incremental SAT — the baselines RFN's guided \
           search improves on.")
     Term.(
-      const run $ netlist $ prop $ depth $ backtracks $ engine $ analyze_arg
-      $ lint_arg)
+      const run $ netlist_arg $ prop $ depth $ backtracks $ engine
+      $ analyze_arg $ lint_arg)
 
 (* ---- rfn lint --------------------------------------------------------- *)
 
 let lint_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let props =
     Arg.(
       value
@@ -530,39 +487,30 @@ let lint_cmd =
           ~doc:"Comma-separated pass names to run (default: all).")
   in
   let run netlist prop_names json only metrics_out profile =
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit -> (
-      let names =
-        match prop_names with
-        | [] -> List.map fst circuit.Circuit.outputs
-        | names -> names
-      in
-      match List.map (Property.of_output circuit) names with
-      | exception Invalid_argument _ ->
-        Format.eprintf "error: unknown output among %s@."
-          (String.concat ", " names);
-        1
-      | props -> (
-        match setup_telemetry ~metrics_out ~profile () with
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-        | Ok () -> (
-          with_telemetry ~profile @@ fun () ->
-          let only = Option.map (String.split_on_char ',') only in
-          match Lint.run ?only ~props circuit with
-          | exception Invalid_argument msg ->
-            Format.eprintf "error: %s@." msg;
-            1
-          | report ->
-            if json then
-              print_endline
-                (Rfn_obs.Json.to_string (Lint.report_to_json circuit report))
-            else Format.printf "%a" Lint.pp_report report;
-            if Lint.errors report > 0 then 1 else 0)))
+    exit_code
+    @@
+    let* circuit = load netlist in
+    let names =
+      match prop_names with
+      | [] -> List.map fst circuit.Circuit.outputs
+      | names -> names
+    in
+    let* props =
+      try Ok (List.map (Property.of_output circuit) names)
+      with Invalid_argument _ ->
+        Error
+          (Printf.sprintf "unknown output among %s" (String.concat ", " names))
+    in
+    with_telemetry ~metrics_out ~profile @@ fun () ->
+    let only = Option.map (String.split_on_char ',') only in
+    let* report =
+      try Ok (Lint.run ?only ~props circuit)
+      with Invalid_argument msg -> Error msg
+    in
+    if json then
+      print_endline (Rfn_obs.Json.to_string (Lint.report_to_json circuit report))
+    else Format.printf "%a" Lint.pp_report report;
+    Ok (if Lint.errors report > 0 then 1 else 0)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -571,14 +519,12 @@ let lint_cmd =
           report structured findings; exits 1 when any error-severity \
           finding is reported.")
     Term.(
-      const run $ netlist $ props $ json $ only $ metrics_out_arg $ profile_arg)
+      const run $ netlist_arg $ props $ json $ only $ metrics_out_arg
+      $ profile_arg)
 
 (* ---- rfn analyze ------------------------------------------------------ *)
 
 let analyze_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let json =
     Arg.(
       value & flag
@@ -616,53 +562,40 @@ let analyze_cmd =
              $(docv) (extension picks the format, as in $(b,simplify -o)).")
   in
   let run netlist json quick seed merge metrics_out profile =
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit -> (
-      match setup_telemetry ~metrics_out ~profile () with
-      | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
-      | Ok () ->
-        with_telemetry ~profile @@ fun () ->
-        let config =
-          {
-            (if quick then Analysis.quick_config else Analysis.default_config)
-            with
-            Analysis.seed;
-          }
-        in
-        let a = Analysis.run ~config circuit in
-        if json then
-          print_endline (Rfn_obs.Json.to_string (Analysis.to_json a))
-        else begin
-          List.iter
-            (fun inv ->
-              Format.printf "  %s@." (Analysis.describe circuit inv))
-            a.Analysis.invariants;
-          Format.printf
-            "%d candidate(s): %d proved, %d refuted, %d unknown (%.2fs)@."
-            a.Analysis.stats.Analysis.candidates
-            a.Analysis.stats.Analysis.proved a.Analysis.stats.Analysis.refuted
-            a.Analysis.stats.Analysis.unknown a.Analysis.seconds
-        end;
-        match merge with
-        | None -> 0
-        | Some file ->
-          let merged, _, applied =
-            Opt.merge_equivalences circuit (Analysis.equiv_pairs a)
-          in
-          Telemetry.add (Telemetry.counter "analysis.merged_gates") applied;
-          Format.eprintf "merged %d equivalent signal(s): %d -> %d signals@."
-            applied
-            (Circuit.num_signals circuit)
-            (Circuit.num_signals merged);
-          write_out ~ok:0 (fun () ->
-              Netlist_io.save
-                ~bads:(List.map fst merged.Circuit.outputs)
-                file merged))
+    exit_code
+    @@
+    let* circuit = load netlist in
+    with_telemetry ~metrics_out ~profile @@ fun () ->
+    let config =
+      {
+        (if quick then Analysis.quick_config else Analysis.default_config) with
+        Analysis.seed;
+      }
+    in
+    let a = Analysis.run ~config circuit in
+    if json then print_endline (Rfn_obs.Json.to_string (Analysis.to_json a))
+    else begin
+      List.iter
+        (fun inv -> Format.printf "  %s@." (Analysis.describe circuit inv))
+        a.Analysis.invariants;
+      Format.printf "%d candidate(s): %d proved, %d refuted, %d unknown (%.2fs)@."
+        a.Analysis.stats.Analysis.candidates a.Analysis.stats.Analysis.proved
+        a.Analysis.stats.Analysis.refuted a.Analysis.stats.Analysis.unknown
+        a.Analysis.seconds
+    end;
+    match merge with
+    | None -> Ok 0
+    | Some file ->
+      let merged, _, applied =
+        Opt.merge_equivalences circuit (Analysis.equiv_pairs a)
+      in
+      Telemetry.add (Telemetry.counter "analysis.merged_gates") applied;
+      Format.eprintf "merged %d equivalent signal(s): %d -> %d signals@."
+        applied
+        (Circuit.num_signals circuit)
+        (Circuit.num_signals merged);
+      write_out ~ok:0 (fun () ->
+          Netlist_io.save ~bads:(List.map fst merged.Circuit.outputs) file merged)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -674,47 +607,40 @@ let analyze_cmd =
           proven ones. The same invariants feed the verification engines \
           under $(b,verify --analyze).")
     Term.(
-      const run $ netlist $ json $ quick $ seed $ merge $ metrics_out_arg
+      const run $ netlist_arg $ json $ quick $ seed $ merge $ metrics_out_arg
       $ profile_arg)
 
 (* ---- rfn simplify ----------------------------------------------------- *)
 
 let simplify_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE")
   in
   let run netlist out =
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit ->
-      let circuit', _, report = Opt.simplify circuit in
-      Format.eprintf
-        "gates: %d -> %d; registers: %d -> %d; %d constants folded@."
-        report.Opt.gates_before report.Opt.gates_after
-        report.Opt.registers_before report.Opt.registers_after
-        report.Opt.constants_folded;
-      match out with
-      | Some file ->
-        (* the extension picks the writer, so `simplify -o x.aig`
-           converts between front-end formats as a side effect *)
-        write_out ~ok:0 (fun () ->
-            Netlist_io.save ~bads:(List.map fst circuit'.Circuit.outputs) file
-              circuit')
-      | None ->
-        print_string (Bench_io.to_string circuit');
-        0
+    exit_code
+    @@
+    let* circuit = load netlist in
+    let circuit', _, report = Opt.simplify circuit in
+    Format.eprintf "gates: %d -> %d; registers: %d -> %d; %d constants folded@."
+      report.Opt.gates_before report.Opt.gates_after report.Opt.registers_before
+      report.Opt.registers_after report.Opt.constants_folded;
+    match out with
+    | Some file ->
+      (* the extension picks the writer, so `simplify -o x.aig`
+         converts between front-end formats as a side effect *)
+      write_out ~ok:0 (fun () ->
+          Netlist_io.save ~bads:(List.map fst circuit'.Circuit.outputs) file
+            circuit')
+    | None ->
+      print_string (Bench_io.to_string circuit');
+      Ok 0
   in
   Cmd.v
     (Cmd.info "simplify"
        ~doc:
          "Constant propagation, structural rewriting and dead-logic \
           sweeping; writes the simplified netlist.")
-    Term.(const run $ netlist $ out)
+    Term.(const run $ netlist_arg $ out)
 
 (* ---- rfn serve ------------------------------------------------------ *)
 
@@ -766,37 +692,31 @@ let serve_cmd =
             "Run each job's concretization and refinement re-check as races \
              over process-isolated engine workers, as in $(b,verify --race).")
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ]) in
   let run socket max_sessions max_nodes checkpoint_dir engines analyze race
       metrics_out chrome_trace profile verbose =
     setup_logs verbose;
-    match setup_telemetry ~trace_out:chrome_trace ~metrics_out ~profile () with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok () ->
-      with_telemetry ~profile @@ fun () ->
-      let config =
-        config_of
-          ~max_seconds:Rfn.default_config.Rfn.max_seconds
-          ~node_limit:Rfn.default_config.Rfn.node_limit
-          ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines
-          ~analyze ~inject:None ~race ~checkpoint:None ~resume:false
-      in
-      let limits =
-        { Rfn_serve.Server.max_sessions = max 1 max_sessions; max_nodes }
-      in
-      let jobs =
-        match socket with
-        | None ->
-          Rfn_serve.Server.run ~limits ~config ?checkpoint_dir
-            ~input:Unix.stdin ~output:stdout ()
-        | Some path ->
-          Rfn_serve.Server.serve_socket ~limits ~config ?checkpoint_dir ~path
-            ()
-      in
-      Format.eprintf "served %d job(s)@." jobs;
-      0
+    exit_code
+    @@ with_telemetry ?trace_out:chrome_trace ~metrics_out ~profile
+    @@ fun () ->
+    let config =
+      config_of ~max_seconds:Rfn.default_config.Rfn.max_seconds
+        ~node_limit:Rfn.default_config.Rfn.node_limit
+        ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines ~analyze
+        ~inject:None ~race ~checkpoint:None ~resume:false
+    in
+    let limits =
+      { Rfn_serve.Server.max_sessions = max 1 max_sessions; max_nodes }
+    in
+    let jobs =
+      match socket with
+      | None ->
+        Rfn_serve.Server.run ~limits ~config ?checkpoint_dir ~input:Unix.stdin
+          ~output:stdout ()
+      | Some path ->
+        Rfn_serve.Server.serve_socket ~limits ~config ?checkpoint_dir ~path ()
+    in
+    Format.eprintf "served %d job(s)@." jobs;
+    Ok 0
   in
   Cmd.v
     (Cmd.info "serve"
@@ -809,7 +729,7 @@ let serve_cmd =
     Term.(
       const run $ socket $ max_sessions $ max_nodes $ checkpoint_dir
       $ engines_arg $ analyze_arg $ race $ metrics_out_arg $ trace_out_arg
-      $ profile_arg $ verbose)
+      $ profile_arg $ verbose_arg)
 
 (* ---- rfn explain ---------------------------------------------------- *)
 
@@ -838,6 +758,8 @@ let explain_cmd =
        with a warning and counted; whatever parsed is still replayed,
        with a recovery summary so a partial story is never mistaken
        for a complete one. *)
+    exit_code
+    @@
     match
       let ic = open_in metrics in
       Fun.protect
@@ -883,18 +805,16 @@ let explain_cmd =
            with End_of_file -> ());
           (List.rev !records, !skipped))
     with
-    | exception Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    | exception Sys_error msg -> Error msg
     | [], skipped ->
-      Format.eprintf
-        "error: no rfn.iteration records in %s%s (was the run made with \
-         --metrics-out?)@."
-        metrics
-        (if skipped > 0 then
-           Printf.sprintf " after skipping %d malformed line(s)" skipped
-         else "");
-      1
+      Error
+        (Printf.sprintf
+           "no rfn.iteration records in %s%s (was the run made with \
+            --metrics-out?)"
+           metrics
+           (if skipped > 0 then
+              Printf.sprintf " after skipping %d malformed line(s)" skipped
+            else ""))
     | records, skipped ->
       (* De-interleave a multi-job server stream: group by job id in
          first-appearance order, each group narrated on its own. A
@@ -941,7 +861,7 @@ let explain_cmd =
           "warning: recovered %d record(s); skipped %d malformed line(s) — \
            the story above may be incomplete@."
           (List.length records) skipped;
-      0
+      Ok 0
   in
   Cmd.v
     (Cmd.info "explain"
@@ -957,34 +877,29 @@ let explain_cmd =
 (* ---- rfn stats ------------------------------------------------------ *)
 
 let stats_cmd =
-  let netlist =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"NETLIST")
-  in
   let roots =
     Arg.(value & pos_right 0 string [] & info [] ~docv:"SIGNAL"
            ~doc:"Optional root signals for a COI report.")
   in
   let run netlist roots =
-    match load netlist with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok circuit ->
-      Format.printf "%a@." Circuit.pp_stats circuit;
-      (match roots with
-      | [] -> ()
-      | names -> (
-        match List.map (Circuit.find circuit) names with
-        | exception Not_found -> Format.eprintf "warning: unknown root@."
-        | roots ->
-          let coi = Coi.compute circuit ~roots in
-          Format.printf "COI of %s: %d registers, %d gates@."
-            (String.concat ", " names) (Coi.num_regs coi) (Coi.num_gates coi)));
-      0
+    exit_code
+    @@
+    let* circuit = load netlist in
+    Format.printf "%a@." Circuit.pp_stats circuit;
+    (match roots with
+    | [] -> ()
+    | names -> (
+      match List.map (Circuit.find circuit) names with
+      | exception Not_found -> Format.eprintf "warning: unknown root@."
+      | roots ->
+        let coi = Coi.compute circuit ~roots in
+        Format.printf "COI of %s: %d registers, %d gates@."
+          (String.concat ", " names) (Coi.num_regs coi) (Coi.num_gates coi)));
+    Ok 0
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print design statistics and optional COI sizes.")
-    Term.(const run $ netlist $ roots)
+    Term.(const run $ netlist_arg $ roots)
 
 let () =
   let doc = "formal property verification by abstraction refinement" in

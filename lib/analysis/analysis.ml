@@ -58,13 +58,6 @@ let quick_config =
 type stats = { candidates : int; proved : int; refuted : int; unknown : int }
 type t = { invariants : invariant list; stats : stats; seconds : float }
 
-let empty =
-  {
-    invariants = [];
-    stats = { candidates = 0; proved = 0; refuted = 0; unknown = 0 };
-    seconds = 0.;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Invariant structure                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -601,15 +594,15 @@ let assume_frame t cnf ~frame =
       List.iter
         (fun cls ->
           let lits =
-            List.map
+            List.filter_map
               (fun (s, p) ->
-                match Cnf.lit_of_opt cnf ~frame s with
-                | Some l -> Some (if p then l else Solver.neg l)
-                | None -> None)
+                Option.map
+                  (fun l -> if p then l else Solver.neg l)
+                  (Cnf.lit_of_opt cnf ~frame s))
               cls
           in
-          if List.for_all Option.is_some lits then begin
-            Solver.add_clause solver (List.map Option.get lits);
+          if List.compare_lengths lits cls = 0 then begin
+            Solver.add_clause solver lits;
             incr added
           end)
         (clauses_of inv))

@@ -83,9 +83,6 @@ val run : ?config:config -> Rfn_circuit.Circuit.t -> t
     [analysis.*] telemetry counters ([candidates], [proved], [refuted],
     [unknown]) inside an [analysis.run] span. *)
 
-val empty : t
-(** No invariants (the [--analyze]-off stand-in). *)
-
 (** {2 Invariant structure} *)
 
 val clauses_of : invariant -> (int * bool) list list

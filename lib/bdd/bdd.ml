@@ -193,7 +193,6 @@ let rec ite m f g h =
 
 let dor m a b = dnot m (dand m (dnot m a) (dnot m b))
 let dxor m a b = ite m a (dnot m b) b
-let imply m a b = ite m a b f1
 let diff m a b = dand m a (dnot m b)
 
 let varset_of m vars =
@@ -315,28 +314,6 @@ let rename m map f =
     in
     vector_compose m subst f
 
-let cofactor m f assignment =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (v, b) -> Hashtbl.replace tbl v b) assignment;
-  let memo = Hashtbl.create 256 in
-  let rec cf f =
-    if is_terminal f then f
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let v = vr m f in
-        let r =
-          match Hashtbl.find_opt tbl v with
-          | Some true -> cf (high m f)
-          | Some false -> cf (low m f)
-          | None -> mk m v (cf (low m f)) (cf (high m f))
-        in
-        Hashtbl.add memo f r;
-        r
-  in
-  cf f
-
 let cube m literals =
   let sorted = List.sort (fun (a, _) (b, _) -> compare b a) literals in
   List.fold_left
@@ -352,17 +329,6 @@ let cube_of m f =
       if low m f = f0 then walk (high m f) ((v, true) :: acc)
       else if high m f = f0 then walk (low m f) ((v, false) :: acc)
       else invalid_arg "Bdd.cube_of: not a cube"
-  in
-  walk f []
-
-let any_sat m f =
-  if f = f0 then raise Not_found;
-  let rec walk f acc =
-    if f = f1 then List.rev acc
-    else
-      let v = vr m f in
-      if low m f <> f0 then walk (low m f) ((v, false) :: acc)
-      else walk (high m f) ((v, true) :: acc)
   in
   walk f []
 
@@ -506,7 +472,3 @@ let subset_heavy m ~max_size f =
       else mk m v f0 (go hi (budget - 2))
   in
   go f max_size
-
-let pp_stats ppf m =
-  Format.fprintf ppf "vars=%d nodes=%d cache=%d" m.nvars m.n
-    (Hashtbl.length m.cache)

@@ -85,7 +85,6 @@ val dand : man -> t -> t -> t
 val dor : man -> t -> t -> t
 val dxor : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
-val imply : man -> t -> t -> t
 val diff : man -> t -> t -> t
 (** [diff m a b] is [a ∧ ¬b]. *)
 
@@ -109,18 +108,11 @@ val rename : man -> (int -> int) -> t -> t
     monotone on levels, in which case a fast structural relabeling is
     used. *)
 
-val cofactor : man -> t -> (int * bool) list -> t
-(** Restrict by a cube. *)
-
 (* Cubes. *)
 val cube : man -> (int * bool) list -> t
 val cube_of : man -> t -> (int * bool) list
 (** Inverse of {!cube}; raises [Invalid_argument] if the node is not a
     cube. *)
-
-val any_sat : man -> t -> (int * bool) list
-(** Some satisfying cube (a path to the 1-terminal). Raises
-    [Not_found] on the zero BDD. *)
 
 val fattest_cube : man -> t -> (int * bool) list
 (** A satisfying cube with the fewest assigned variables — the paper's
@@ -155,5 +147,3 @@ val subset_heavy : man -> max_size:int -> t -> t
     least density by zero. The result implies the argument. The paper
     evaluates — and rejects — subsetting as a pre-image fallback; this
     implementation exists to reproduce that comparison. *)
-
-val pp_stats : Format.formatter -> man -> unit

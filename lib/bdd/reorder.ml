@@ -17,30 +17,6 @@ let total_size man roots =
   List.iter walk roots;
   Hashtbl.length seen
 
-(* Hyperedges of the live graph: every node connects its variable to
-   its children's variables. *)
-let structure_edges man roots =
-  let seen = Hashtbl.create 1024 in
-  let edges = ref [] in
-  let rec walk f =
-    if (not (Bdd.is_terminal f)) && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      let v = Bdd.topvar man f in
-      let lo = Bdd.low man f and hi = Bdd.high man f in
-      let children =
-        List.filter_map
-          (fun c ->
-            if Bdd.is_terminal c then None else Some (Bdd.topvar man c))
-          [ lo; hi ]
-      in
-      if children <> [] then edges := (v :: children) :: !edges;
-      walk lo;
-      walk hi
-    end
-  in
-  List.iter walk roots;
-  !edges
-
 (* Rebuild [roots] from [man] into a fresh manager under [map]. *)
 let rebuild_under man ~roots ~map =
   let dst = Bdd.create ~node_limit:(Bdd.node_limit man) ~nvars:(Bdd.nvars man) () in
@@ -93,33 +69,3 @@ let sift ?(max_passes = 4) man ~roots =
   done;
   Telemetry.add c_saved (size0 - !cur_size);
   (!cur_man, !cur_roots, fun v -> perm.(v))
-
-let improve man ~roots =
-  Telemetry.incr c_invocations;
-  let nvars = Bdd.nvars man in
-  let edges = structure_edges man roots in
-  let init = Array.init nvars (fun i -> i) in
-  let map_arr = Force.order ~init ~nvars ~edges () in
-  let dst = Bdd.create ~node_limit:(Bdd.node_limit man) ~nvars () in
-  (* one shared memo across all roots so sharing survives translation *)
-  let memo = Hashtbl.create 1024 in
-  let rec rb f =
-    if Bdd.is_zero f then Bdd.zero dst
-    else if Bdd.is_one f then Bdd.one dst
-    else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let lo = rb (Bdd.low man f) and hi = rb (Bdd.high man f) in
-        let r =
-          Bdd.ite dst (Bdd.var dst map_arr.(Bdd.topvar man f)) hi lo
-        in
-        Hashtbl.add memo f r;
-        r
-  in
-  let roots' = List.map rb roots in
-  (* sizing both managers is O(live nodes) — only pay it when telemetry
-     is recording *)
-  if Telemetry.enabled () then
-    Telemetry.add c_saved (max 0 (total_size man roots - total_size dst roots'));
-  (dst, roots', fun v -> map_arr.(v))

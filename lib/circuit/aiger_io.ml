@@ -127,9 +127,11 @@ let parse (text : string) : Circuit.t =
              lit)
       | _ -> syntax_error cur.line "input line must hold a single literal"
     done;
-  (* Latches: [lit next [reset]] in ascii, [next [reset]] in binary. *)
+  (* Latches: [lit next [reset]] in ascii, [next [reset]] in binary.
+     Sections are read into lists, so memory follows the lines present,
+     never a count the header claims. *)
   let latches =
-    Array.init h.l (fun k ->
+    List.init h.l (fun k ->
         let lit = 2 * (h.i + k + 1) in
         let line = require_line cur "latch" in
         let ns = nats_of_line cur line in
@@ -156,7 +158,7 @@ let parse (text : string) : Circuit.t =
         | _ -> syntax_error cur.line "latch line must hold next [reset]")
   in
   let read_lit_lines what n =
-    Array.init n (fun k ->
+    List.init n (fun k ->
         let line = require_line cur what in
         match nats_of_line cur line with
         | [ lit ] -> (lit, cur.line)
@@ -167,7 +169,7 @@ let parse (text : string) : Circuit.t =
   let outputs = read_lit_lines "output" h.o in
   let bads = read_lit_lines "bad" h.b in
   (* AND gates: var -> (rhs0, rhs1, source position). *)
-  let ands : (int, int * int * int) Hashtbl.t = Hashtbl.create (2 * h.a + 1) in
+  let ands : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   if h.binary then
     for k = 0 to h.a - 1 do
       let v = h.i + h.l + k + 1 in
@@ -212,7 +214,8 @@ let parse (text : string) : Circuit.t =
     cur.line <- !n
   end;
   (* Symbol table, terminated by EOF or a comment section. *)
-  let symbols : (char * int, string) Hashtbl.t = Hashtbl.create 17 in
+  (* (kind, index) -> (name, line of its symbol) *)
+  let symbols : (char * int, string * int) Hashtbl.t = Hashtbl.create 17 in
   let rec read_symbols () =
     match next_line cur with
     | None -> ()
@@ -247,31 +250,47 @@ let parse (text : string) : Circuit.t =
           syntax_error cur.line
             (Printf.sprintf "symbol %s: index out of range (max %d)" tag
                (limit - 1));
-        Hashtbl.replace symbols (kind, idx) name);
+        Hashtbl.replace symbols (kind, idx) (name, cur.line));
       read_symbols ()
   in
   read_symbols ();
   let sym kind idx fallback =
     match Hashtbl.find_opt symbols (kind, idx) with
-    | Some n -> n
+    | Some (n, _) -> n
     | None -> Printf.sprintf "%c%d" fallback idx
+  in
+  (* An input or latch under its name; two signals of one name (from
+     the symbol table or the fallback names) are a syntax error. *)
+  let named kind idx make =
+    let name = sym kind idx kind in
+    try make name
+    with Invalid_argument _ -> (
+      let msg = Printf.sprintf "duplicate signal name %S" name in
+      match Hashtbl.find_opt symbols (kind, idx) with
+      | Some (_, line) -> syntax_error line msg
+      | None -> failwith ("Aiger_io: " ^ msg))
   in
   (* Build the circuit. *)
   let b = B.create () in
-  let ids = Array.make (h.m + 1) (-1) in
+  (* variable -> signal, for the variables built so far *)
+  let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
   for k = 0 to h.i - 1 do
-    ids.(k + 1) <- B.input b (sym 'i' k 'i')
+    Hashtbl.replace ids (k + 1) (named 'i' k (B.input b))
   done;
-  Array.iteri
-    (fun k (ld : latch_decl) ->
-      let init =
-        match ld.reset with
-        | 0 -> `Zero
-        | 1 -> `One
-        | _ -> `Free (* reset = own literal: uninitialised *)
-      in
-      ids.(h.i + k + 1) <- B.reg b ~init (sym 'l' k 'l'))
-    latches;
+  let regs =
+    List.mapi
+      (fun k (ld : latch_decl) ->
+        let init =
+          match ld.reset with
+          | 0 -> `Zero
+          | 1 -> `One
+          | _ -> `Free (* reset = own literal: uninitialised *)
+        in
+        let r = named 'l' k (B.reg b ~init) in
+        Hashtbl.replace ids (h.i + k + 1) r;
+        r)
+      latches
+  in
   (* Resolve AND variables recursively (ascii files may define them in
      any order); the stack detects combinational cycles and names the
      full path, as [Bench_io] does. *)
@@ -288,8 +307,9 @@ let parse (text : string) : Circuit.t =
       if lit land 1 = 1 then B.not_ b id else id
     end
   and var_id ~at v =
-    if ids.(v) >= 0 then ids.(v)
-    else begin
+    match Hashtbl.find_opt ids v with
+    | Some id -> id
+    | None -> begin
       if List.mem v !building then begin
         let rec upto acc = function
           | [] -> List.rev acc
@@ -306,26 +326,26 @@ let parse (text : string) : Circuit.t =
         syntax_error at (Printf.sprintf "undefined variable %d" v)
       | Some (rhs0, rhs1, pos) ->
         let at = if h.binary then 0 else pos in
-        building := v :: !building;
+        let outer = !building in
+        building := v :: outer;
         let a0 = lit_id ~at rhs0 in
         let a1 = lit_id ~at rhs1 in
-        building := List.tl !building;
+        building := outer;
         let id = B.and2 b a0 a1 in
-        ids.(v) <- id;
+        Hashtbl.replace ids v id;
         id
     end
   in
-  Array.iteri
-    (fun k (ld : latch_decl) ->
-      let r = ids.(h.i + k + 1) in
+  List.iter2
+    (fun r (ld : latch_decl) ->
       try B.connect b r (lit_id ~at:ld.decl_line ld.next_lit)
       with Invalid_argument m -> syntax_error ld.decl_line m)
-    latches;
-  let declare kind fallback arr =
-    Array.iteri
+    regs latches;
+  let declare kind fallback lits =
+    List.iteri
       (fun k (lit, line) ->
         B.output b (sym kind k fallback) (lit_id ~at:line lit))
-      arr
+      lits
   in
   declare 'o' 'o' outputs;
   declare 'b' 'b' bads;

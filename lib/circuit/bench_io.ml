@@ -130,11 +130,12 @@ let parse text =
           (name :: List.rev (ancestors [] !building)) @ [ name ]
         in
         syntax_error
-          (try Hashtbl.find line_of name with Not_found -> at)
+          (Option.value (Hashtbl.find_opt line_of name) ~default:at)
           (Printf.sprintf "combinational cycle: %s"
              (String.concat " -> " path))
       end;
-      building := name :: !building;
+      let outer = !building in
+      building := name :: outer;
       let id =
         match Hashtbl.find_opt table name with
         | None ->
@@ -148,7 +149,7 @@ let parse text =
           else B.gate b ~name Gate.Buf [| cid |]
         | Some (Dgate (kind, args)) ->
           let def_line =
-            try Hashtbl.find line_of name with Not_found -> at
+            Option.value (Hashtbl.find_opt line_of name) ~default:at
           in
           let fanins =
             Array.of_list (List.map (resolve ~at:def_line) args)
@@ -156,7 +157,7 @@ let parse text =
           B.gate b ~name kind fanins
         | Some (Dreg _) -> assert false (* created above *)
       in
-      building := List.tl !building;
+      building := outer;
       Hashtbl.add ids name id;
       id)
   in
@@ -164,7 +165,7 @@ let parse text =
     (fun (lineno, name, def) ->
       match def with
       | Dreg (_, d) ->
-        let r = Hashtbl.find ids name in
+        let r = resolve ~at:lineno name (* the register, created above *) in
         (try B.connect b r (resolve ~at:lineno d)
          with Invalid_argument m -> syntax_error lineno m)
       | Dgate _ | Dconst _ -> ignore (resolve ~at:lineno name))

@@ -20,8 +20,6 @@ val parse : string -> Circuit.t
 
 val parse_file : string -> Circuit.t
 
-val print : Format.formatter -> Circuit.t -> unit
-(** Print in a form [parse] accepts; round-trips the design up to
-    signal renumbering. *)
-
 val to_string : Circuit.t -> string
+(** The design in a form [parse] accepts; round-trips the design up to
+    signal renumbering. *)

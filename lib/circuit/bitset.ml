@@ -3,8 +3,6 @@ type t = { mutable card : int; bits : Bytes.t; len : int }
 let create len =
   { card = 0; bits = Bytes.make ((len + 7) / 8) '\000'; len }
 
-let length t = t.len
-
 let check t i =
   if i < 0 || i >= t.len then
     invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.len)
@@ -59,9 +57,3 @@ let of_list len l =
 let union_into dst src = iter (add dst) src
 
 let equal a b = a.len = b.len && Bytes.equal a.bits b.bits
-
-let subset a b =
-  if a.len <> b.len then invalid_arg "Bitset.subset: universes differ";
-  let ok = ref true in
-  iter (fun i -> if not (mem b i) then ok := false) a;
-  !ok

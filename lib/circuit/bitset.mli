@@ -9,9 +9,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set over universe [0 .. n-1]. *)
 
-val length : t -> int
-(** Universe size the set was created with. *)
-
 val mem : t -> int -> bool
 
 val add : t -> int -> unit
@@ -36,6 +33,3 @@ val union_into : t -> t -> unit
 (** [union_into dst src] adds every member of [src] to [dst]. *)
 
 val equal : t -> t -> bool
-
-val subset : t -> t -> bool
-(** [subset a b] is true when every member of [a] is in [b]. *)

@@ -38,10 +38,8 @@ let find t nm =
   in
   loop 0
 
-let output_opt t nm = List.assoc_opt nm t.outputs
-
 let output t nm =
-  match output_opt t nm with
+  match List.assoc_opt nm t.outputs with
   | Some s -> s
   | None ->
     (* Invalid_argument naming the output, per the Varmap diagnostic
@@ -49,7 +47,6 @@ let output t nm =
        crashed callers as far away as the serve loop. *)
     invalid_arg (Printf.sprintf "Circuit.output: no output %S" nm)
 let is_reg t s = match t.nodes.(s) with Reg _ -> true | _ -> false
-let is_input t s = match t.nodes.(s) with Input -> true | _ -> false
 
 let eval t ~input ~state =
   let values = Array.make (Array.length t.nodes) false in
@@ -120,9 +117,12 @@ module Builder = struct
       c.names_ <- names
     end
 
-  let fresh_name c prefix =
+  (* Skips names already taken, so an input named like a generated
+     name cannot clash with a later gate. *)
+  let rec fresh_name c prefix =
     c.anon <- c.anon + 1;
-    Printf.sprintf "%s_%d" prefix c.anon
+    let name = Printf.sprintf "%s_%d" prefix c.anon in
+    if Hashtbl.mem c.by_name name then fresh_name c prefix else name
 
   let add c name cell =
     grow c;
@@ -226,7 +226,6 @@ module Builder = struct
 
   let mux c sel d0 d1 = gate c Gate.Mux [| sel; d0; d1 |]
   let eq2 c a b = gate c Gate.Xnor [| a; b |]
-  let implies c a b = or2 c (not_ c a) b
 
   let finalize c =
     let n = c.n in
@@ -279,14 +278,15 @@ module Builder = struct
              (String.concat " -> " (List.map (fun i -> names.(i)) path)))
       | _ ->
         Bytes.set state s '\001';
-        trail := s :: !trail;
+        let outer = !trail in
+        trail := s :: outer;
         (match nodes.(s) with
         | Gate (_, fanins) ->
           Array.iter visit fanins;
           level.(s) <-
             1 + Array.fold_left (fun m f -> max m level.(f)) 0 fanins
         | Input | Const _ | Reg _ -> ());
-        trail := List.tl !trail;
+        trail := outer;
         Bytes.set state s '\002';
         order := s :: !order
     in

@@ -44,8 +44,6 @@ type t = private {
 val num_signals : t -> int
 val num_gates : t -> int
 val num_registers : t -> int
-val num_inputs : t -> int
-
 val node : t -> int -> node
 val name : t -> int -> string
 val find : t -> string -> int
@@ -55,10 +53,7 @@ val output : t -> string -> int
 (** Look up a declared output by name. Raises [Invalid_argument]
     naming the output when it is not declared. *)
 
-val output_opt : t -> string -> int option
-
 val is_reg : t -> int -> bool
-val is_input : t -> int -> bool
 
 val eval : t -> input:(int -> bool) -> state:(int -> bool) -> bool array
 (** Combinational evaluation: value of every signal given values for
@@ -112,7 +107,6 @@ module Builder : sig
   (** [mux c sel d0 d1]. *)
 
   val eq2 : c -> int -> int -> int
-  val implies : c -> int -> int -> int
 
   val finalize : c -> t
   (** Freeze the design. Raises [Invalid_argument] if a register is

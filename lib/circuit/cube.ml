@@ -51,8 +51,6 @@ let meet a b =
 let conflicts a b = meet a b = None
 let signals t = List.map fst t
 let restrict t ~keep = List.filter (fun (s, _) -> keep s) t
-let for_all f t = List.for_all (fun (s, v) -> f s v) t
-
 let pp ~names ppf t =
   Format.fprintf ppf "@[<hov 1>{";
   List.iteri

@@ -32,6 +32,4 @@ val signals : t -> int list
 val restrict : t -> keep:(int -> bool) -> t
 (** Keep only the assignments whose signal satisfies [keep]. *)
 
-val for_all : (int -> bool -> bool) -> t -> bool
-
 val pp : names:(int -> string) -> Format.formatter -> t -> unit

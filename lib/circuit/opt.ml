@@ -114,12 +114,12 @@ let simplify c =
   in
   let simplify_gate kind fanins =
     let vals = Array.map const_of fanins in
-    let all_const = Array.for_all (fun v -> v <> None) vals in
-    if all_const then begin
+    let consts = Array.of_list (List.filter_map Fun.id (Array.to_list vals)) in
+    if Array.length consts = Array.length fanins then begin
       incr folded;
       B.const b
-        (Gate.eval kind (fun i -> Option.get vals.(i))
-           (Array.init (Array.length fanins) (fun i -> i)))
+        (Gate.eval kind (Array.get consts)
+           (Array.init (Array.length consts) Fun.id))
     end
     else
       let arg i = resolve fanins.(i) in

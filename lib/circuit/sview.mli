@@ -48,7 +48,6 @@ val net : t -> Vnet.t
 val mem : t -> int -> bool
 val is_free : t -> int -> bool
 val num_regs : t -> int
-val num_gates : t -> int
 val num_free_inputs : t -> int
 
 val is_state : t -> int -> bool

@@ -131,7 +131,8 @@ let compile circuit ~inside ~free ~roots =
           match Circuit.node circuit s with
           | Circuit.Const b -> Const b
           | Circuit.Reg { init; _ } -> Reg init
-          | Circuit.Gate (kind, _) -> List.assoc kind gate_nodes
+          | Circuit.Gate (kind, _) ->
+            Option.value (List.assoc_opt kind gate_nodes) ~default:(Gate kind)
           | Circuit.Input -> invalid_arg "Vnet.compile: primary input not free")
       parent
   in

@@ -161,8 +161,8 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
   in
   let rec iterate iter =
     let abstraction = Session.abstraction session in
-    let done_ ?failure last_regs =
-      report_of ?failure sets ~abstract_regs:last_regs ~iterations:iter
+    let done_ ?failure ?(iterations = iter) last_regs =
+      report_of ?failure sets ~abstract_regs:last_regs ~iterations
         ~seconds:(Telemetry.now () -. started) ()
     in
     let regs_now = Abstraction.num_regs abstraction in
@@ -170,7 +170,7 @@ let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
       iter > config.Rfn.max_iterations
       || out_of_time ()
       || Bdd.is_zero sets.unknown
-    then done_ regs_now
+    then done_ ~iterations:(iter - 1) regs_now (* [iter] never started *)
     else
       match
         let { Session.vm; img; _ } = Session.prepare session in

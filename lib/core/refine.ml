@@ -146,10 +146,9 @@ let crucial_registers ?(atpg_limits = Atpg.default_limits) ?(max_fallback = 8)
   let kept =
     if (not invalidated) || aborted || List.length kept < 2 then kept
     else begin
-      let last = List.nth kept (List.length kept - 1) in
       let rec shrink confirmed = function
         | [] -> List.rev confirmed
-        | d :: rest when d = last && rest = [] -> List.rev (d :: confirmed)
+        | [ last ] -> List.rev (last :: confirmed)
         | d :: rest -> (
           let trial = List.rev_append confirmed rest in
           match check trial with

@@ -554,14 +554,12 @@ let refine run cur abstract_trace =
       (* no pseudo-inputs means the model is closed: the abstract trace
          should have concretized — let the BMC rung arbitrate *)
       Error (F.Invariant "closed abstract model, spurious trace")
-    | ps ->
+    | p :: ps ->
       let fanout s = Array.length run.circuit.Circuit.fanouts.(s) in
       let best =
-        List.fold_left
-          (fun a s -> if fanout s > fanout a then s else a)
-          (List.hd ps) (List.tl ps)
+        List.fold_left (fun a s -> if fanout s > fanout a then s else a) p ps
       in
-      Ok (`Add ([ best ], List.length ps))
+      Ok (`Add ([ best ], 1 + List.length ps))
   in
   let max_depth = Trace.length abstract_trace in
   let falsified ~give_up = function

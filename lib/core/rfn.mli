@@ -106,7 +106,7 @@ type config = {
           to fallback rungs — a worker crash, hang, memory blow-up or
           protocol violation degrades to the sequential portfolio and
           can never change the verdict. Defaults to
-          {!Rfn_proc.Proc.policy_of_env} ([RFN_RACE] etc.) *)
+          {!Rfn_proc.Proc.policy_of_env} ([RFN_RACE]) *)
   checkpoint : string option;
       (** when set, serialize the loop state to this file at every
           iteration boundary (atomic write, keyed by a netlist

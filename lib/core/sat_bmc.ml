@@ -11,6 +11,8 @@ let c_falsify = Telemetry.counter "sat_bmc.falsify_calls"
 let c_concretize = Telemetry.counter "sat_bmc.concretize_calls"
 let c_found = Telemetry.counter "sat_bmc.found"
 
+(* An ATPG budget on the solver: backtracks become conflicts
+   one-for-one, the wall-clock budget carries over. *)
 let limits_of_atpg (l : Atpg.limits) =
   { Solver.max_conflicts = l.Atpg.max_backtracks;
     max_seconds = l.Atpg.max_seconds }

@@ -26,12 +26,6 @@
       it can replace (or back up) guided ATPG as the Step-3
       concretizer. *)
 
-val limits_of_atpg : Rfn_atpg.Atpg.limits -> Rfn_sat.Solver.limits
-(** Map an ATPG resource budget onto the SAT solver: backtracks become
-    conflicts one-for-one, the wall-clock budget carries over. Keeps
-    the supervisor's deadline budgeting uniform across both engine
-    families. *)
-
 type unrolling
 (** The whole design's cone of one bad signal, unrolled frame by frame
     on a single incremental {!Rfn_sat.Cnf} instance. Every {!falsify}

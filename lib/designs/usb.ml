@@ -171,6 +171,6 @@ let make ?(params = default) () =
           ] );
     ]
   in
-  assert (List.length (List.assoc "USB1" coverage_sets) = 6);
-  assert (List.length (List.assoc "USB2" coverage_sets) = 21);
+  assert (Option.map List.length (List.assoc_opt "USB1" coverage_sets) = Some 6);
+  assert (Option.map List.length (List.assoc_opt "USB2" coverage_sets) = Some 21);
   { circuit; coverage_sets }

@@ -41,8 +41,6 @@ let retryable_resource = function
     true
   | Time | Steps | Iterations -> false
 
-let retryable f = retryable_resource f.resource
-
 let engine_to_string = function
   | Bdd_mc -> "BDD fixpoint engine"
   | Hybrid -> "hybrid engine"
@@ -89,7 +87,6 @@ let to_string f =
     (phase_to_string f.phase)
     (String.concat ", " (engine_to_string f.engine :: extras))
 
-let pp ppf f = Format.pp_print_string ppf (to_string f)
 let pp_resource ppf r = Format.pp_print_string ppf (resource_to_string r)
 
 (* Short machine-friendly tags for telemetry attributes (stable names,

@@ -81,18 +81,12 @@ val retryable_resource : resource -> bool
     back to the in-process rungs. [Time], [Steps] and [Iterations] are
     terminal: more of the same will not help. *)
 
-val retryable : t -> bool
-(** [retryable_resource] of the failure's resource. *)
-
-val engine_to_string : engine -> string
-val phase_to_string : phase -> string
 val resource_to_string : resource -> string
 
 val to_string : t -> string
 (** One human-readable line, e.g.
     ["BDD node limit in abstract model checking (BDD fixpoint engine, iteration 3, 2 recovery attempts)"]. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_resource : Format.formatter -> resource -> unit
 
 val to_attrs : t -> (string * Rfn_obs.Json.t) list

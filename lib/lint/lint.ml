@@ -201,7 +201,7 @@ let pass_duplicate_gate =
               ^ String.concat ","
                   (Array.to_list (Array.map string_of_int fanins))
             in
-            let prev = try Hashtbl.find groups key with Not_found -> [] in
+            let prev = Option.value (Hashtbl.find_opt groups key) ~default:[] in
             Hashtbl.replace groups key (s :: prev)
           | _ -> ()
         done;
@@ -300,15 +300,15 @@ let pass_onehot_violation =
                 List.iter
                   (fun cls ->
                     let lits =
-                      List.map
+                      List.filter_map
                         (fun (s, v) ->
-                          match Cnf.lit_of_opt unr ~frame:0 s with
-                          | Some l -> Some (if v then l else Solver.neg l)
-                          | None -> None)
+                          Option.map
+                            (fun l -> if v then l else Solver.neg l)
+                            (Cnf.lit_of_opt unr ~frame:0 s))
                         cls
                     in
-                    if List.for_all Option.is_some lits then
-                      Solver.add_clause solver (List.map Option.get lits))
+                    if List.compare_lengths lits cls = 0 then
+                      Solver.add_clause solver lits)
                   (Analysis.clauses_of g))
               groups;
             List.filter_map

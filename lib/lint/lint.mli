@@ -47,9 +47,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-(** ["error"], ["warning"], ["info"]. *)
-
 type finding = {
   pass : string;  (** name of the pass that produced the finding *)
   severity : severity;
@@ -81,8 +78,6 @@ val run :
     no selected pass does. *)
 
 val errors : report -> int
-val warnings : report -> int
-val infos : report -> int
 
 val pp_report : Format.formatter -> report -> unit
 (** One finding per line: [severity: [pass] message]; a trailing

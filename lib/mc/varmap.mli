@@ -23,10 +23,6 @@ val make : ?node_limit:int -> ?previous:t -> Rfn_circuit.Sview.t -> t
     paper saves the BDD variable ordering at the end of Step 2 and
     reuses it as the next iteration's initial ordering. *)
 
-val signal_rank : t -> int -> int option
-(** Level of the variable carrying a signal (its [Cur] or [Inp]
-    variable), if allocated — the hand-off {!make}'s [previous] uses. *)
-
 val grow : t -> view:Rfn_circuit.Sview.t -> Rfn_circuit.Abstraction.delta -> t
 (** In-place growth for a refinement delta, the persistent-session
     alternative to a fresh {!make}: every carried signal keeps its
@@ -68,9 +64,8 @@ val replica : ?node_limit:int -> t -> t
 val remap : t -> man:Rfn_bdd.Bdd.man -> map:(int -> int) -> t
 (** Re-express the varmap over another manager whose variables are a
     permutation of this one's ([map old_var = new_level], total on the
-    variable range) — the hand-off from [Rfn_bdd.Reorder.sift]/
-    [improve], which rebuild live BDDs into a fresh manager under a
-    better order. *)
+    variable range) — the hand-off from [Rfn_bdd.Reorder.sift], which
+    rebuilds live BDDs into a fresh manager under a better order. *)
 
 val man : t -> Rfn_bdd.Bdd.man
 val view : t -> Rfn_circuit.Sview.t

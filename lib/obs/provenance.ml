@@ -179,9 +179,9 @@ let pp ppf p =
 let pp_story ppf records =
   match records with
   | [] -> Format.fprintf ppf "no provenance records@."
-  | records ->
+  | first :: rest ->
     List.iter (fun p -> Format.fprintf ppf "%a@." pp p) records;
-    let last = List.nth records (List.length records - 1) in
+    let last = List.fold_left (fun _ p -> p) first rest in
     let total = List.fold_left (fun a p -> a +. p.seconds) 0.0 records in
     Format.fprintf ppf "verdict after %d iteration%s (%.3fs): %s@."
       (List.length records)

@@ -7,7 +7,7 @@
     appends it to the run's stats and (b) emits it as an ["rfn.iteration"]
     telemetry event, so a [--metrics-out] JSONL file carries the full
     audit trail. [rfn explain] re-reads that file and replays the
-    refinement story ({!pp}).
+    refinement story ({!pp_story}).
 
     Serialization policy: [to_json]/[of_json] round-trip every field
     exactly, with two documented exceptions — non-finite floats
@@ -67,10 +67,7 @@ val of_json : Json.t -> (t, string) result
     line (the ["ev"] tag and any unknown fields are ignored). Missing
     or ill-typed required fields yield [Error] with the field name. *)
 
-val pp : Format.formatter -> t -> unit
-(** One-paragraph narrative of the iteration, e.g.
-    ["iteration 3: model 5 regs / 12 inputs; fixpoint 14 steps; ..."]. *)
-
 val pp_story : Format.formatter -> t list -> unit
-(** The whole run: one {!pp} line per record plus a closing verdict
+(** The whole run: one narrative line per record (e.g. ["iteration 3:
+    model 5 regs / 12 inputs; fixpoint 14 steps; ..."]) plus a closing verdict
     line derived from the last record's [outcome]. *)

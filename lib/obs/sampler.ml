@@ -4,9 +4,6 @@
 let tracked_gauges =
   [ "bdd.live_nodes"; "sat.clause_db"; "session.nodes_carried" ]
 
-let probes : (string, unit -> int) Hashtbl.t = Hashtbl.create 8
-let register name probe = Hashtbl.replace probes name probe
-
 let tick label =
   if Telemetry.enabled () then begin
     let gc = Gc.quick_stat () in
@@ -32,17 +29,8 @@ let tick label =
           ])
         tracked_gauges
     in
-    let probe_fields =
-      Hashtbl.fold
-        (fun name probe acc ->
-          match probe () with
-          | v -> (name, Json.Int v) :: acc
-          | exception _ -> acc)
-        probes []
-      |> List.sort compare
-    in
     Telemetry.event "sample"
-      ((("at", Json.Str label) :: gc_fields) @ gauge_fields @ probe_fields);
+      ((("at", Json.Str label) :: gc_fields) @ gauge_fields);
     if Telemetry.trace_attached () then begin
       Telemetry.trace_counter "gc.heap_words"
         [ ("heap_words", float_of_int gc.Gc.heap_words) ];
@@ -51,13 +39,6 @@ let tick label =
           let g = Telemetry.gauge name in
           Telemetry.trace_counter name
             [ ("value", float_of_int (Telemetry.gauge_value g)) ])
-        tracked_gauges;
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Json.Int v ->
-            Telemetry.trace_counter name [ ("value", float_of_int v) ]
-          | _ -> ())
-        probe_fields
+        tracked_gauges
     end
   end

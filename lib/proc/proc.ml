@@ -23,29 +23,13 @@ let default_policy =
     deadline_slack = 0.25;
   }
 
-let env_float name fallback =
-  match Sys.getenv_opt name with
-  | None -> fallback
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> fallback)
-
-let env_int name fallback =
-  match Sys.getenv_opt name with
-  | None -> fallback
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> fallback)
-
 let policy_of_env () =
   {
+    default_policy with
     enabled =
       (match Sys.getenv_opt "RFN_RACE" with
       | Some ("1" | "true" | "yes") -> true
       | Some _ | None -> false);
-    heartbeat_interval =
-      env_float "RFN_PROC_HB" default_policy.heartbeat_interval;
-    heartbeat_grace =
-      env_float "RFN_PROC_HB_GRACE" default_policy.heartbeat_grace;
-    max_rss_mb = env_int "RFN_PROC_RSS_MB" default_policy.max_rss_mb;
-    kill_grace = env_float "RFN_PROC_KILL_GRACE" default_policy.kill_grace;
-    deadline_slack = env_float "RFN_PROC_SLACK" default_policy.deadline_slack;
   }
 
 let available () = Sys.unix && Sys.getenv_opt "RFN_NO_FORK" = None

@@ -60,10 +60,8 @@ val default_policy : policy
     0.5 s kill grace, 0.25 s deadline slack. *)
 
 val policy_of_env : unit -> policy
-(** {!default_policy} overridden from the environment: [RFN_RACE]
-    ([1]/[true]/[yes] enables), [RFN_PROC_HB], [RFN_PROC_HB_GRACE],
-    [RFN_PROC_RSS_MB], [RFN_PROC_KILL_GRACE], [RFN_PROC_SLACK].
-    Malformed values fall back to the default silently. *)
+(** {!default_policy}, enabled when [RFN_RACE] is [1], [true] or
+    [yes]. *)
 
 val available : unit -> bool
 (** Whether worker processes can actually be forked here: a Unix

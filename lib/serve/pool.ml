@@ -75,11 +75,11 @@ let trim t =
   let evictable () =
     match t.entries with
     | [] | [ _ ] -> []
-    | _ ->
+    | first :: rest ->
       let mru =
         List.fold_left
           (fun a e -> if e.last_used > a.last_used then e else a)
-          (List.hd t.entries) (List.tl t.entries)
+          first rest
       in
       List.filter (fun e -> e != mru) t.entries
   in

@@ -51,13 +51,11 @@ type request =
   | Cancel of string
   | Shutdown
 
-val request_of_json : Rfn_obs.Json.t -> (request, string) result
-(** Total: any shape violation (missing op, unknown op, missing id,
-    both or neither of design/netlist, unknown engine name) is an
-    [Error] with a message the server echoes back on an [error] line. *)
-
 val request_of_line : string -> (request, string) result
-(** [request_of_json] after parsing; malformed JSON is an [Error]. *)
+(** Total: malformed JSON and any shape violation (missing op, unknown
+    op, missing id, both or neither of design/netlist, unknown engine
+    name) is an [Error] with a message the server echoes back on an
+    [error] line. *)
 
 val submit_to_json : submit -> Rfn_obs.Json.t
 (** Render a submit request — the client-side encoder the bench batch

@@ -111,18 +111,18 @@ let resolve_design st design =
     | Protocol.File path -> Netlist_io.load path
     | Protocol.Netlist text -> Netlist_io.parse text
   in
-  match Hashtbl.find_opt st.sources key with
-  | Some digest when Hashtbl.mem st.circuits digest ->
-    (digest, Hashtbl.find st.circuits digest)
-  | stale ->
-    (* Cache miss — or a source mapping whose circuit entry is gone
-       (a bare Hashtbl.find here used to raise Not_found and kill the
-       whole serve loop). Re-parse and self-heal the mapping. *)
+  let cached digest =
+    Option.map (fun c -> (digest, c)) (Hashtbl.find_opt st.circuits digest)
+  in
+  match Option.bind (Hashtbl.find_opt st.sources key) cached with
+  | Some hit -> hit
+  | None ->
+    (* Cache miss — or a source mapping whose circuit entry is gone.
+       Re-parse and self-heal the mapping. *)
     let circuit = parse () in
     let d = Checkpoint.hash_circuit circuit in
     if not (Hashtbl.mem st.circuits d) then Hashtbl.add st.circuits d circuit;
-    if stale <> None then Hashtbl.remove st.sources key;
-    Hashtbl.add st.sources key d;
+    Hashtbl.replace st.sources key d;
     (d, circuit)
 
 let submit st (s : Protocol.submit) =

@@ -4,7 +4,6 @@ open Rfn_obs
 type v = Gate.ternary = V0 | V1 | VX
 
 let of_bool b = if b then V1 else V0
-let to_bool = function V0 -> Some false | V1 -> Some true | VX -> None
 
 let conflicts a b =
   match (a, b) with V0, V1 | V1, V0 -> true | _, _ -> false
@@ -13,8 +12,6 @@ let pp ppf = function
   | V0 -> Format.pp_print_char ppf '0'
   | V1 -> Format.pp_print_char ppf '1'
   | VX -> Format.pp_print_char ppf 'X'
-
-let eval_gate = Gate.eval3
 
 let eval view ~free ~state =
   let net = Sview.net view in

@@ -13,15 +13,10 @@
 type v = Rfn_circuit.Gate.ternary = V0 | V1 | VX
 
 val of_bool : bool -> v
-val to_bool : v -> bool option
 val conflicts : v -> v -> bool
 (** Both concrete and different; X never conflicts. *)
 
 val pp : Format.formatter -> v -> unit
-
-val eval_gate : Rfn_circuit.Gate.kind -> (int -> v) -> int array -> v
-(** {!Rfn_circuit.Gate.eval3}: the output is concrete whenever it is
-    determined by the concrete fanins (e.g. one 0 on an AND). *)
 
 val eval :
   Rfn_circuit.Sview.t -> free:(int -> v) -> state:(int -> v) -> v array

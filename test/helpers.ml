@@ -235,3 +235,33 @@ let eval_with circuit ~ivec ~svec s =
     svec land (1 lsl idx 0) <> 0
   in
   (Circuit.eval circuit ~input ~state).(s)
+
+(* One iteration record with every field set, for checkpoint tests. *)
+let sample_provenance =
+  {
+    Rfn_obs.Provenance.iter = 1;
+    regs_before = 2;
+    regs_after = 4;
+    model_inputs = 6;
+    fixpoint_steps = 5;
+    trace_depth = Some 3;
+    cut_size = None;
+    no_cut_steps = 0;
+    min_cut_steps = 0;
+    cubes = 8;
+    guidance = 1;
+    engine = "atpg";
+    concretize = "not-found";
+    promoted = [ "r1"; "r2" ];
+    candidates = 4;
+    retries = 0;
+    fallbacks = 0;
+    injected = 0;
+    worker_failures = 1;
+    bdd_nodes = 100;
+    bdd_peak = 200;
+    sat_learned = 0;
+    backtracks = 3;
+    seconds = 0.5;
+    outcome = "refined";
+  }

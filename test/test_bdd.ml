@@ -159,15 +159,6 @@ let rename_monotone_test =
           done;
           !ok))
 
-let cofactor_test =
-  qt "cofactor pins variables" 200 (fun e ->
-      let man = Bdd.create ~nvars () in
-      let f = build_bdd man e in
-      let g = Bdd.cofactor man f [ (1, true); (4, false) ] in
-      all_envs (fun env ->
-          let env' i = if i = 1 then true else if i = 4 then false else env i in
-          Bdd.eval man g env = eval_expr env' e))
-
 let cube_roundtrip_test =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"cube/cube_of roundtrip"
@@ -184,7 +175,7 @@ let cube_roundtrip_test =
          List.sort compare (Bdd.cube_of man c) = sorted))
 
 let sat_cubes_test =
-  qt "any_sat and fattest_cube satisfy" 300 (fun e ->
+  qt "fattest_cube satisfies" 300 (fun e ->
       let man = Bdd.create ~nvars () in
       let f = build_bdd man e in
       if Bdd.is_zero f then true
@@ -202,7 +193,7 @@ let sat_cubes_test =
           in
           Bdd.eval man f env1
         in
-        check (Bdd.any_sat man f) && check (Bdd.fattest_cube man f)
+        check (Bdd.fattest_cube man f)
       end)
 
 let fattest_is_minimal_test =
@@ -317,7 +308,6 @@ let tests =
     compose_test;
     rename_test;
     rename_monotone_test;
-    cofactor_test;
     cube_roundtrip_test;
     sat_cubes_test;
     fattest_is_minimal_test;

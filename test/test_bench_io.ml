@@ -18,7 +18,7 @@ OUTPUT(g)
 
 let test_parse_sample () =
   let c = Bench_io.parse sample in
-  Alcotest.(check int) "inputs" 2 (Circuit.num_inputs c);
+  Alcotest.(check int) "inputs" 2 (Array.length c.Circuit.inputs);
   Alcotest.(check int) "registers" 3 (Circuit.num_registers c);
   let r = Circuit.find c "r" in
   (match Circuit.node c r with

@@ -175,6 +175,31 @@ let test_validation () =
     Alcotest.fail "non-register coverage rejected"
   with Invalid_argument _ -> ()
 
+(* A run stopped by its iteration cap reports the iterations that ran:
+   the cap itself, not the number of the iteration it did not start.
+   USB1 keeps states unknown for longer than these caps. *)
+let test_iteration_cap () =
+  let usb = Rfn_designs.Usb.make () in
+  let coverage =
+    Option.value ~default:[]
+      (List.assoc_opt "USB1" usb.Rfn_designs.Usb.coverage_sets)
+  in
+  List.iter
+    (fun cap ->
+      let config =
+        { (config 60.0) with Rfn.max_seconds = None; max_iterations = cap }
+      in
+      let r =
+        Coverage.rfn_analysis ~config usb.Rfn_designs.Usb.circuit ~coverage
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d: states left unknown" cap)
+        true (r.Coverage.unknown > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "cap %d: iterations" cap)
+        cap r.Coverage.iterations)
+    [ 0; 1; 2 ]
+
 let tests =
   [
     Alcotest.test_case "one-hot ring, exact" `Quick test_ring_exact;
@@ -184,6 +209,8 @@ let tests =
     test_rfn_at_least_bfs;
     Alcotest.test_case "status index encoding" `Quick test_status_encoding;
     Alcotest.test_case "argument validation" `Quick test_validation;
+    Alcotest.test_case "a capped run reports the cap" `Quick
+      test_iteration_cap;
   ]
 
 let () = Alcotest.run "coverage" [ ("coverage", tests) ]

@@ -30,7 +30,7 @@ let subset_implies =
          let f = (Symbolic.functions vm) rc.Helpers.out in
          let s = Bdd.subset_heavy man ~max_size:budget f in
          Bdd.size man s <= max budget 1
-         && Bdd.is_one (Bdd.imply man s f)))
+         && Bdd.is_zero (Bdd.diff man s f)))
 
 let test_subset_keeps_small_bdds () =
   let man = Bdd.create ~nvars:4 () in
@@ -156,11 +156,7 @@ let test_varmap_previous_preserves_semantics () =
     | Reach.Aborted w -> "abort " ^ Rfn_failure.resource_to_string w
   in
   let fresh = Varmap.make a1.Abstraction.view in
-  Alcotest.(check string) "same verdict" (verdict fresh) (verdict vm1);
-  (* shared signals keep their relative order *)
-  let g0 = Circuit.find c "mutex_bad" in
-  Alcotest.(check bool) "previous rank is exposed" true
-    (Varmap.signal_rank vm0 g0 <> None)
+  Alcotest.(check string) "same verdict" (verdict fresh) (verdict vm1)
 
 let force_seeding_not_worse =
   QCheck_alcotest.to_alcotest

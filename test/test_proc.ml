@@ -116,35 +116,6 @@ let test_trace_decoder_total () =
 (* Checkpoints                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sample_provenance =
-  {
-    Provenance.iter = 1;
-    regs_before = 2;
-    regs_after = 4;
-    model_inputs = 6;
-    fixpoint_steps = 5;
-    trace_depth = Some 3;
-    cut_size = None;
-    no_cut_steps = 0;
-    min_cut_steps = 0;
-    cubes = 8;
-    guidance = 1;
-    engine = "atpg";
-    concretize = "not-found";
-    promoted = [ "r1"; "r2" ];
-    candidates = 4;
-    retries = 0;
-    fallbacks = 0;
-    injected = 0;
-    worker_failures = 1;
-    bdd_nodes = 100;
-    bdd_peak = 200;
-    sat_learned = 0;
-    backtracks = 3;
-    seconds = 0.5;
-    outcome = "refined";
-  }
-
 let temp_checkpoint () =
   let file = Filename.temp_file "rfn_ck" ".json" in
   Sys.remove file;
@@ -156,7 +127,7 @@ let test_checkpoint_roundtrip () =
     Checkpoint.make ~netlist_hash:"abc123" ~property:"bad" ~iteration:4
       ~seconds_used:1.25 ~escalation:8
       ~regs:[ "cnt_0"; "cnt_1"; "full" ]
-      ~provenance:[ sample_provenance ] ()
+      ~provenance:[ Helpers.sample_provenance ] ()
   in
   Checkpoint.save file ck;
   (match Checkpoint.load file with

@@ -164,7 +164,10 @@ let test_protocol_roundtrip () =
         };
     }
   in
-  match Protocol.request_of_json (Protocol.submit_to_json submit) with
+  match
+    Protocol.request_of_line
+      (Rfn_obs.Json.to_string (Protocol.submit_to_json submit))
+  with
   | Ok (Protocol.Submit s) ->
     Alcotest.(check string) "id" "j1" s.Protocol.id;
     Alcotest.(check string) "property" "bad" s.Protocol.property;

@@ -8,7 +8,7 @@ let test_gate_semantics () =
   let v b = Sim3v.of_bool b in
   let check name kind args expected =
     Alcotest.check tv name expected
-      (Sim3v.eval_gate kind
+      (Gate.eval3 kind
          (fun i -> args.(i))
          (Array.init (Array.length args) (fun i -> i)))
   in
