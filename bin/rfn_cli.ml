@@ -416,7 +416,7 @@ let bmc_cmd =
         match engine with
         | `Atpg ->
           let outcome, stats =
-            Rfn_core.Bmc.falsify ~limits circuit ~bad ~max_depth:depth
+            Rfn_core.Concretize.falsify ~limits circuit ~bad ~max_depth:depth
           in
           ( outcome,
             fun () ->
@@ -438,18 +438,18 @@ let bmc_cmd =
                 stats.Rfn_sat.Solver.propagations )
       in
       match outcome with
-      | Rfn_core.Bmc.Found trace ->
+      | Rfn_core.Concretize.Found trace ->
         Format.printf "violated at depth %d (%s)@.%a@."
           (Trace.length trace - 1)
           (describe ())
           (Trace.pp ~names:(Circuit.name circuit))
           trace;
         Ok 2
-      | Rfn_core.Bmc.Exhausted ->
+      | Rfn_core.Concretize.Not_found_here ->
         Format.printf "no violation within %d cycles@." depth;
         Ok 0
-      | Rfn_core.Bmc.Gave_up d ->
-        Format.printf "gave up at depth %d (resource limit)@." d;
+      | Rfn_core.Concretize.Gave_up { frames; _ } ->
+        Format.printf "gave up at depth %d (resource limit)@." frames;
         Ok 3
   in
   Cmd.v

@@ -66,6 +66,10 @@ type header = {
   b : int;  (** bad-state properties (AIGER 1.9) *)
 }
 
+(* A binary file's inputs are implicit, so only the header bounds how
+   many the reader builds: a 31-byte file could otherwise ask for 10^8. *)
+let max_inputs = 1 lsl 20
+
 let parse_header cur =
   let line = require_line cur "header" in
   match tokens line with
@@ -84,6 +88,10 @@ let parse_header cur =
       if m < i + l + a then
         syntax_error cur.line
           (Printf.sprintf "header M = %d < I + L + A = %d" m (i + l + a));
+      if i > max_inputs then
+        syntax_error cur.line
+          (Printf.sprintf "header I = %d exceeds the limit of %d inputs" i
+             max_inputs);
       if binary && m <> i + l + a then
         syntax_error cur.line
           (Printf.sprintf "binary header requires M = I + L + A, got %d <> %d"

@@ -10,29 +10,55 @@ let h_backtracks = Telemetry.histogram "concretize.backtracks"
 type outcome =
   | Found of Trace.t
   | Not_found_here
-  | Gave_up of Rfn_failure.resource
+  | Gave_up of { resource : Rfn_failure.resource; frames : int }
 
+let validated circuit ~bad ~frames t =
+  if Sim3v.replay_concrete circuit t ~bad then Found t
+  else
+    (* engine bug guard: never report unvalidated *)
+    Gave_up
+      { resource = Rfn_failure.Invariant "unvalidated counterexample"; frames }
+
+let first_found query items =
+  let rec go gave_up = function
+    | [] -> Option.value gave_up ~default:Not_found_here
+    | x :: rest -> (
+      match query x with
+      | Found _ as found -> found
+      | Not_found_here -> go gave_up rest
+      | Gave_up _ as g -> go (Some g) rest)
+  in
+  go None items
+
+let deepen query ~max_depth =
+  let rec go frames =
+    if frames > max_depth then Not_found_here
+    else match query ~frames with Not_found_here -> go (frames + 1) | o -> o
+  in
+  go 1
+
+(* ATPG's one query: [bad] at the last of [frames] frames from the
+   initial states, under [pins]. *)
+let query ~limits circuit ~bad ~frames ~pins =
+  let view = Sview.whole circuit ~roots:[ bad ] in
+  let pins = (frames - 1, bad, true) :: pins in
+  match Atpg.solve ~limits view ~frames ~pins () with
+  | Atpg.Sat t, stats -> (validated circuit ~bad ~frames t, stats)
+  | Atpg.Unsat, stats -> (Not_found_here, stats)
+  | Atpg.Abort resource, stats -> (Gave_up { resource; frames }, stats)
+
+(* The query as Step 3 and the guidance ablation count it. *)
 let run ~limits circuit ~bad ~frames ~pins =
   Telemetry.incr c_attempts;
   Telemetry.with_span "concretize.atpg"
     ~attrs:[ ("frames", Rfn_obs.Json.Int frames) ]
     (fun () ->
-      let view = Sview.whole circuit ~roots:[ bad ] in
-      let pins = (frames - 1, bad, true) :: pins in
-      let solved = Atpg.solve ~limits view ~frames ~pins () in
-      Telemetry.observe h_backtracks
-        (float_of_int (snd solved).Atpg.backtracks);
-      match solved with
-      | Atpg.Sat t, stats ->
-        if Sim3v.replay_concrete circuit t ~bad then begin
-          Telemetry.incr c_found;
-          (Found t, stats)
-        end
-        else
-          (* engine bug guard: never report unvalidated *)
-          (Gave_up (Rfn_failure.Invariant "unvalidated counterexample"), stats)
-      | Atpg.Unsat, stats -> (Not_found_here, stats)
-      | Atpg.Abort r, stats -> (Gave_up r, stats))
+      let ((outcome, stats) as answer) =
+        query ~limits circuit ~bad ~frames ~pins
+      in
+      Telemetry.observe h_backtracks (float_of_int stats.Atpg.backtracks);
+      (match outcome with Found _ -> Telemetry.incr c_found | _ -> ());
+      answer)
 
 let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
     ~abstract_trace =
@@ -49,39 +75,29 @@ let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
   if doomed then (Not_found_here, { Atpg.decisions = 0; backtracks = 0 })
   else run ~limits circuit ~bad ~frames:(Trace.length abstract_trace) ~pins
 
-let guided_any ?(limits = Atpg.default_limits) ?analysis circuit ~bad
-    ~abstract_traces =
-  let sum a b =
-    {
-      Atpg.decisions = a.Atpg.decisions + b.Atpg.decisions;
-      backtracks = a.Atpg.backtracks + b.Atpg.backtracks;
-    }
-  in
-  let zero = { Atpg.decisions = 0; backtracks = 0 } in
-  let rec go acc gave_up = function
-    | [] -> (
-      ( (match gave_up with None -> Not_found_here | Some r -> Gave_up r),
-        acc ))
-    | t :: rest -> (
-      match guided ~limits ?analysis circuit ~bad ~abstract_trace:t with
-      | Found trace, stats -> (Found trace, sum acc stats)
-      | Not_found_here, stats -> go (sum acc stats) gave_up rest
-      | Gave_up r, stats -> go (sum acc stats) (Some r) rest)
-  in
-  if abstract_traces = [] then
-    invalid_arg "Concretize.guided_any: no abstract traces"
-  else go zero None abstract_traces
-
 let guided_to_trace ?(limits = Atpg.default_limits) circuit ~abstract_trace =
   let view = Sview.whole circuit ~roots:[] in
+  let frames = Trace.length abstract_trace in
   match
-    Atpg.solve ~limits view
-      ~frames:(Trace.length abstract_trace)
-      ~pins:(Trace.pins abstract_trace) ()
+    Atpg.solve ~limits view ~frames ~pins:(Trace.pins abstract_trace) ()
   with
   | Atpg.Sat t, stats -> (Found t, stats)
   | Atpg.Unsat, stats -> (Not_found_here, stats)
-  | Atpg.Abort r, stats -> (Gave_up r, stats)
+  | Atpg.Abort resource, stats -> (Gave_up { resource; frames }, stats)
 
 let unguided ?(limits = Atpg.default_limits) circuit ~bad ~depth =
   run ~limits circuit ~bad ~frames:depth ~pins:[]
+
+let falsify ?(limits = Atpg.default_limits) circuit ~bad ~max_depth =
+  let total = ref { Atpg.decisions = 0; backtracks = 0 } in
+  let outcome =
+    deepen ~max_depth (fun ~frames ->
+        let outcome, s = query ~limits circuit ~bad ~frames ~pins:[] in
+        total :=
+          {
+            Atpg.decisions = !total.Atpg.decisions + s.Atpg.decisions;
+            backtracks = !total.Atpg.backtracks + s.Atpg.backtracks;
+          };
+        outcome)
+  in
+  (outcome, !total)

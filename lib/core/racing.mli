@@ -3,11 +3,12 @@
 
     The sequential portfolio runs guided ATPG, waits for it to give
     up, then runs SAT — the loser's whole budget is spent before the
-    winner starts. These wrappers run both engines {e concurrently} in
-    {!Rfn_proc.Proc} workers: the first conclusive answer (a validated
-    counterexample, or a proof that the guided space is empty) wins
-    and the loser is cancelled; give-ups are held as the answer of
-    last resort.
+    winner starts. {!race} runs the engines' answers to one query of
+    {!Concretize} (Step 3 or the empty-refinement re-check)
+    {e concurrently} in {!Rfn_proc.Proc} workers: the first conclusive
+    answer ([Found], or [Not_found_here]: the search space is empty)
+    wins and the losers are cancelled; give-ups are held as the answer
+    of last resort.
 
     Everything a worker reports is re-validated on the parent side —
     a [Found] trace is replayed concretely
@@ -18,31 +19,18 @@
     [Error], and the supervisor ladder falls back to the in-process
     rungs. *)
 
-val concretize :
+val race :
   ?deadline:float ->
   policy:Rfn_proc.Proc.policy ->
   Rfn_circuit.Circuit.t ->
   bad:int ->
   (string * (unit -> Concretize.outcome)) list ->
   (Concretize.outcome, Rfn_failure.resource) result
-(** Race guided concretization (Step 3): each named entrant runs in its
-    own worker, so it must build whatever per-run state it needs (a SAT
-    unrolling) inside its thunk. [Found] and [Not_found_here] are
-    conclusive and win; a race where every entrant gave up yields
-    [Ok (Gave_up _)] (the first give-up received) so the caller's
-    escalation logic sees the same shape as the in-process engines;
-    [Error] means no entrant produced a credible payload (a [Worker_*]
-    resource — retryable, so the ladder falls back in-process).
+(** Race the named entrants, each in its own worker, so each must build
+    whatever per-run state it needs (a SAT unrolling) inside its thunk.
+    A race where every entrant gave up yields [Ok (Gave_up _)] (the
+    first give-up received), so the caller sees the same shape as from
+    an in-process engine; [Error] means no entrant produced a credible
+    payload (a [Worker_*] resource — retryable, so the ladder falls
+    back in-process). Requires {!Rfn_proc.Proc.available}.
     @raise Invalid_argument on an empty entrant list. *)
-
-val falsify :
-  ?deadline:float ->
-  policy:Rfn_proc.Proc.policy ->
-  Rfn_circuit.Circuit.t ->
-  bad:int ->
-  (string * (unit -> Bmc.outcome)) list ->
-  (Bmc.outcome, Rfn_failure.resource) result
-(** Race bounded falsification (the empty-refinement re-check), e.g.
-    ATPG-based {!Bmc.falsify} against {!Sat_bmc.falsify}. [Found]
-    (revalidated) and [Exhausted] win; all-gave-up yields
-    [Ok (Gave_up _)]; [Error] as in {!concretize}. *)

@@ -112,22 +112,21 @@ let prepare ?(config = default_config) circuit ~roots =
 (* ---- the engine table ------------------------------------------------ *)
 
 (* One engine family of Step 3 and of the empty-refinement re-check: its
-   guided concretizer, its bounded falsifier, the resource a falsifier
-   give-up reports, and the rung labels and race-entrant names events
-   carry. *)
+   answer to each, the resource a re-check give-up reports, and the rung
+   labels and race-entrant names events carry. *)
 type engine = {
   family : F.engine;
   guided : string * string;  (* Step-3 rung label, race entrant *)
   recheck : string * string;  (* re-check rung label, race entrant *)
   give_up : F.resource;
   concretize : Atpg.limits -> Trace.t list -> Concretize.outcome;
-  falsify : Atpg.limits -> max_depth:int -> Bmc.outcome;
+  falsify : Atpg.limits -> max_depth:int -> Concretize.outcome;
 }
 
-(* [config.engines] as an engine list, primary first. [analysis] and
+(* [config.engines] as the primary engine and the rest. [analysis] and
    [unrolling] are what one run's in-process rungs share; race workers
    get neither and encode their own unrolling. *)
-let engine_list ?analysis ~unrolling circuit ~bad selection =
+let engines_for ?analysis ~unrolling circuit ~bad selection =
   let atpg =
     {
       family = F.Seq_atpg;
@@ -135,13 +134,14 @@ let engine_list ?analysis ~unrolling circuit ~bad selection =
       recheck = ("bmc-recheck", "bmc");
       give_up = F.Backtracks;
       concretize =
-        (fun limits abstract_traces ->
-          fst
-            (Concretize.guided_any ~limits ?analysis circuit ~bad
-               ~abstract_traces));
+        (fun limits ->
+          Concretize.first_found (fun abstract_trace ->
+              fst
+                (Concretize.guided ~limits ?analysis circuit ~bad
+                   ~abstract_trace)));
       falsify =
         (fun limits ~max_depth ->
-          fst (Bmc.falsify ~limits circuit ~bad ~max_depth));
+          fst (Concretize.falsify ~limits circuit ~bad ~max_depth));
     }
   in
   let sat =
@@ -159,9 +159,9 @@ let engine_list ?analysis ~unrolling circuit ~bad selection =
     }
   in
   match selection with
-  | Atpg_only -> [ atpg ]
-  | Sat_only -> [ sat ]
-  | Portfolio -> [ atpg; sat ]
+  | Atpg_only -> (atpg, [])
+  | Sat_only -> (sat, [])
+  | Portfolio -> (atpg, [ sat ])
 
 (* ---- run and iteration state ----------------------------------------- *)
 
@@ -174,13 +174,14 @@ type run = {
   analysis : Analysis.t option;
   sup : Supervisor.t;
   coi : Coi.t;
-  engines : engine list;
-      (* in-process rungs; the SAT entry extends one unrolling per run,
-         built on first use, so the cone is encoded once and learned
-         clauses carry across iterations. It dies with the run — a
-         pooled session keeps none, since the pool bounds memory by BDD
-         nodes alone. *)
-  racers : engine list;  (* the same engines, as race-worker entrants *)
+  engines : engine * engine list;
+      (* in-process rungs, primary first; the SAT entry extends one
+         unrolling per run, built on first use, so the cone is encoded
+         once and learned clauses carry across iterations. It dies with
+         the run — a pooled session keeps none, since the pool bounds
+         memory by BDD nodes alone. *)
+  racers : engine * engine list;
+      (* the same engines, as race-worker entrants *)
   checkpoint : Checkpoint.run option;
   started : float;
   resumed_iterations : int;
@@ -293,15 +294,40 @@ let check_concrete_trace run cur ~engine t =
 let concrete_limits run =
   Supervisor.concrete_limits run.sup run.config.concrete_atpg
 
-(* With the worker pool enabled, [race] heads the ladder and the
-   in-process rungs stay below it as fallbacks, so a crashed, hung or
-   babbling worker degrades to the sequential ladder instead of
-   changing the verdict. *)
-let with_race run race rungs =
-  if not run.config.proc.Rfn_proc.Proc.enabled then rungs
+(* Step 3 and the re-check as one ladder: each engine's answer to
+   [query] as a rung, the primary's of [kind] and the rest fallbacks.
+   With the worker pool enabled (and fork available), a race of all of
+   them heads the ladder and the in-process rungs stay below it as
+   fallbacks, so a crashed, hung or babbling worker degrades to them
+   instead of changing the verdict. [as_rung] turns an answer into the
+   rung's result; it gets the resource a give-up of that rung reports:
+   the engine's own, and [Backtracks] for the race. *)
+let ladder run ~kind ~race ~label ~query ~as_rung =
+  let primary, rest = run.engines in
+  let rungs =
+    List.mapi
+      (fun i e ->
+        ( (if i = 0 then kind else Supervisor.Fallback),
+          fst (label e),
+          fun () -> as_rung e.give_up (query e (concrete_limits run)) ))
+      (primary :: rest)
+  in
+  if not (run.config.proc.Rfn_proc.Proc.enabled && Rfn_proc.Proc.available ())
+  then rungs
   else
-    race
-    :: List.map (fun (_, label, f) -> (Supervisor.Fallback, label, f)) rungs
+    let raced () =
+      let limits = concrete_limits run in
+      let primary, rest = run.racers in
+      Result.bind
+        (Racing.race ?deadline:limits.Atpg.max_seconds ~policy:run.config.proc
+           run.circuit ~bad:run.bad
+           (List.map
+              (fun e -> (snd (label e), fun () -> query e limits))
+              (primary :: rest)))
+        (as_rung F.Backtracks)
+    in
+    (kind, race, raced)
+    :: List.map (fun (_, l, f) -> (Supervisor.Fallback, l, f)) rungs
 
 (* ---- Step 2a: prove, or find the bad states' depth ------------------- *)
 
@@ -417,7 +443,7 @@ let extract run cur (vm, fn, res, k) =
     | [] ->
       (* extract_multi promises at least one trace *)
       Error (F.Invariant "hybrid engine returned no abstract traces")
-    | hybrids -> Ok hybrids
+    | hybrid :: rest -> Ok (hybrid, rest)
   in
   let extraction =
     Telemetry.with_span "rfn.hybrid" ~attrs:cur.attrs (fun () ->
@@ -431,13 +457,8 @@ let extract run cur (vm, fn, res, k) =
   Rfn_obs.Sampler.tick "rfn.hybrid";
   match extraction with
   | Error failure -> aborted run cur failure
-  | Ok [] ->
-    (* unreachable: the ladder maps [] to an Error *)
-    stop run cur "aborted:invariant"
-      (Aborted
-         (F.make ~iteration:cur.iter ~engine:F.Hybrid ~phase:F.Trace_extraction
-            (F.Invariant "hybrid engine returned no abstract traces")))
-  | Ok (hybrid :: _ as hybrids) ->
+  | Ok (hybrid, rest) ->
+    let hybrids = hybrid :: rest in
     let view = cur.abstraction.Abstraction.view in
     check run cur ~engine:F.Hybrid ~phase:F.Trace_extraction
       ~what:"abstract error traces" (fun () ->
@@ -478,54 +499,37 @@ let extract run cur (vm, fn, res, k) =
    BMC at the same depth; with the worker pool on, a race of all of them
    runs first. *)
 let concretize run cur guidance =
-  let as_rung = function Concretize.Gave_up r -> Error r | o -> Ok o in
-  let race () =
-    let limits = concrete_limits run in
-    Result.bind
-      (Racing.concretize ?deadline:limits.Atpg.max_seconds
-         ~policy:run.config.proc run.circuit ~bad:run.bad
-         (List.map
-            (fun e -> (snd e.guided, fun () -> e.concretize limits guidance))
-            run.racers))
-      as_rung
-  in
-  let rungs =
-    List.mapi
-      (fun i e ->
-        ( (if i = 0 then Supervisor.Primary else Supervisor.Fallback),
-          fst e.guided,
-          fun () -> as_rung (e.concretize (concrete_limits run) guidance) ))
-      run.engines
-    |> with_race run (Supervisor.Primary, "race", race)
-  in
-  let engine = (List.hd run.engines).family in
+  let engine = (fst run.engines).family in
   let concrete =
     Telemetry.with_span "rfn.concretize" ~attrs:cur.attrs (fun () ->
-        match
-          Supervisor.run run.sup ~site:Supervisor.Concretize ~engine
-            ~phase:F.Concretization ~iteration:cur.iter rungs
-        with
-        | Ok outcome -> outcome
-        | Error failure -> Concretize.Gave_up failure.F.resource)
+        Supervisor.run run.sup ~site:Supervisor.Concretize ~engine
+          ~phase:F.Concretization ~iteration:cur.iter
+          (ladder run ~kind:Supervisor.Primary ~race:"race"
+             ~label:(fun e -> e.guided)
+             ~query:(fun e limits -> e.concretize limits guidance)
+             ~as_rung:(fun _ -> function
+               | Concretize.Found t -> Ok (Some t)
+               | Concretize.Not_found_here -> Ok None
+               | Concretize.Gave_up { resource; _ } -> Error resource)))
   in
   Rfn_obs.Sampler.tick "rfn.concretize";
   let desc =
     match concrete with
-    | Concretize.Found _ -> "found"
-    | Concretize.Not_found_here -> "not-found"
-    | Concretize.Gave_up r -> "gave-up:" ^ F.resource_to_string r
+    | Ok (Some _) -> "found"
+    | Ok None -> "not-found"
+    | Error f -> "gave-up:" ^ F.resource_to_string f.F.resource
   in
   cur.record <- { cur.record with concretize = desc };
   match concrete with
-  | Concretize.Found t ->
+  | Ok (Some t) ->
     check_concrete_trace run cur ~engine t;
     Log.info (fun m -> m "concrete counterexample found");
     stop run cur "falsified" (Falsified t)
-  | Concretize.Not_found_here -> Next ()
-  | Concretize.Gave_up r ->
+  | Ok None -> Next ()
+  | Error f ->
     Log.info (fun m ->
         m "concretization gave up (%a); escalating backtrack budget"
-          F.pp_resource r);
+          F.pp_resource f.F.resource);
     Supervisor.escalate run.sup;
     Next ()
 
@@ -562,31 +566,14 @@ let refine run cur abstract_trace =
       Ok (`Add ([ best ], 1 + List.length ps))
   in
   let max_depth = Trace.length abstract_trace in
-  let falsified ~give_up = function
-    | Bmc.Found t -> Ok (`Cex t)
-    | Bmc.Exhausted -> Error F.No_refinement
-    | Bmc.Gave_up _ -> Error give_up
-  in
-  let race () =
-    let limits = concrete_limits run in
-    Result.bind
-      (Racing.falsify ?deadline:limits.Atpg.max_seconds
-         ~policy:run.config.proc run.circuit ~bad:run.bad
-         (List.map
-            (fun e -> (snd e.recheck, fun () -> e.falsify limits ~max_depth))
-            run.racers))
-      (falsified ~give_up:F.Backtracks)
-  in
   let rechecks =
-    List.map
-      (fun e ->
-        ( Supervisor.Fallback,
-          fst e.recheck,
-          fun () ->
-            falsified ~give_up:e.give_up
-              (e.falsify (concrete_limits run) ~max_depth) ))
-      run.engines
-    |> with_race run (Supervisor.Fallback, "race-recheck", race)
+    ladder run ~kind:Supervisor.Fallback ~race:"race-recheck"
+      ~label:(fun e -> e.recheck)
+      ~query:(fun e limits -> e.falsify limits ~max_depth)
+      ~as_rung:(fun give_up -> function
+        | Concretize.Found t -> Ok (`Cex t)
+        | Concretize.Not_found_here -> Error F.No_refinement
+        | Concretize.Gave_up _ -> Error give_up)
   in
   let refinement =
     Telemetry.with_span "rfn.refine" ~attrs:cur.attrs (fun () ->
@@ -777,11 +764,11 @@ let verify_in_session ?(config = default_config) session prop =
       sup;
       coi;
       engines =
-        engine_list ?analysis
+        engines_for ?analysis
           ~unrolling:(fun () -> Lazy.force unrolling)
           circuit ~bad config.engines;
       racers =
-        engine_list
+        engines_for
           ~unrolling:(fun () -> Sat_bmc.unrolling ~check circuit ~bad)
           circuit ~bad config.engines;
       checkpoint;

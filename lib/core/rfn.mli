@@ -23,10 +23,12 @@
     budget for later iterations, and an empty refinement falls back to
     the highest-fanout pseudo-input and finally a BMC re-check. The
     Step-3 ladder and the re-check rungs are both built from one engine
-    list ({!engines}); with the worker pool on, a {!Racing} rung over
-    the same engines runs first. Failures that survive the ladders
-    surface as [Aborted] with a structured {!Rfn_failure.t}. Each
-    iteration leaves one {!Rfn_obs.Provenance.t} record. *)
+    table ({!engines}), each engine answering the one query of
+    {!Concretize}; with the worker pool on (and fork available), a
+    {!Racing} rung over the same engines runs first. Failures that
+    survive the ladders surface as [Aborted] with a structured
+    {!Rfn_failure.t}. Each iteration leaves one
+    {!Rfn_obs.Provenance.t} record. *)
 
 type engines =
   | Atpg_only  (** the paper's engines only: guided sequential ATPG *)
@@ -104,8 +106,9 @@ type config = {
           empty-refinement re-check run as races over isolated worker
           processes ({!Racing}), with the in-process engines demoted
           to fallback rungs — a worker crash, hang, memory blow-up or
-          protocol violation degrades to the sequential portfolio and
-          can never change the verdict. Defaults to
+          protocol violation degrades to the in-process portfolio and
+          can never change the verdict. Where fork is unavailable the
+          race rung is left out. Defaults to
           {!Rfn_proc.Proc.policy_of_env} ([RFN_RACE]) *)
   checkpoint : string option;
       (** when set, serialize the loop state to this file at every

@@ -1,11 +1,12 @@
-(** Bounded falsification by incremental SAT (the second engine family).
+(** Step 3 and the BMC re-check by incremental SAT (the second engine
+    family).
 
-    The twin of {!Bmc} built on {!Rfn_sat}: iterative-deepening
-    bounded model checking where every depth extends a single
-    incremental CNF instance (Eén, Mishchenko & Amla's single-instance
-    formulation) instead of re-running sequential ATPG from scratch.
-    The per-depth target is one assumption literal, so learned clauses
-    survive across depths and across guided queries.
+    SAT's answer to the one query of {!Concretize}: the whole design
+    unrolled on a single incremental CNF instance (Eén, Mishchenko &
+    Amla's single-instance formulation), solved for the bad signal at
+    the last frame with the query's pins as assumptions, and a model
+    replayed before it is believed. Assumptions hold for one call only,
+    so learned clauses survive across depths and across guided queries.
 
     The instance is an {!unrolling} value the caller owns.
     [Rfn.verify_in_session] builds one per call, on the first SAT rung
@@ -15,16 +16,7 @@
     dropped when the run ends and never kept in a pooled server
     session, whose memory bound counts BDD nodes only. One-shot callers
     ([rfn bmc --engine sat], forked race workers, the bench harness)
-    build their own.
-
-    Two modes are wired into the CEGAR loop:
-    - {!falsify} mirrors [Bmc.falsify] exactly (same outcome type, same
-      shortest-counterexample guarantee) and serves as the SAT twin of
-      the empty-refinement BMC re-check;
-    - {!concretize} is the guided mode: the abstract error trace's
-      constraint cubes are conjoined cycle by cycle as assumptions, so
-      it can replace (or back up) guided ATPG as the Step-3
-      concretizer. *)
+    build their own. *)
 
 type unrolling
 (** The whole design's cone of one bad signal, unrolled frame by frame
@@ -43,7 +35,7 @@ val unrolling :
   bad:int ->
   unrolling
 (** An unrolling with no frames yet, starting from the initial states.
-    With [check], every {!falsify} and {!concretize} call first checks
+    With [check], every query (one depth, one trace) first checks
     the CNF and its assumption pins ({!Rfn_lint.Check.cnf},
     {!Rfn_lint.Check.pins}) and gives up on a violation; [Rfn] passes
     [config.check_invariants].
@@ -57,11 +49,11 @@ val falsify :
   ?limits:Rfn_atpg.Atpg.limits ->
   unrolling ->
   max_depth:int ->
-  Bmc.outcome * Rfn_sat.Solver.stats
-(** Same contract as {!Bmc.falsify}: depths are tried in increasing
-    order, a [Found] trace is a shortest counterexample and is
-    validated by concrete replay before being reported. Statistics are
-    this call's own work (deltas), not the instance's lifetime
+  Concretize.outcome * Rfn_sat.Solver.stats
+(** {!Concretize.deepen} over the unpinned query: the SAT twin of
+    {!Concretize.falsify}, and of the empty-refinement re-check. The
+    limits' backtrack budget bounds conflicts one-for-one. Statistics
+    are this call's own work (deltas), not the instance's lifetime
     totals; [max_vars] is the instance's current size. *)
 
 val concretize :
@@ -69,10 +61,7 @@ val concretize :
   unrolling ->
   abstract_traces:Rfn_circuit.Trace.t list ->
   Concretize.outcome * Rfn_sat.Solver.stats
-(** SAT-guided concretization: for each abstract trace, solve the
-    whole design unrolled to the trace's length under assumptions
-    pinning every state/input literal of the trace's constraint cubes
-    plus the bad signal at the last frame. Traces are tried in order; a
-    satisfying assignment is validated by replay like
-    [Concretize.guided_any]. Statistics are per call, as for
-    {!falsify}. Raises [Invalid_argument] on an empty trace list. *)
+(** {!Concretize.first_found} over the query pinned by each abstract
+    trace's constraint cubes at the trace's length: SAT-guided
+    concretization, the SAT twin of guided ATPG in Step 3. Statistics
+    are per call, as for {!falsify}. *)

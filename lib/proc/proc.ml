@@ -32,7 +32,7 @@ let policy_of_env () =
       | Some _ | None -> false);
   }
 
-let available () = Sys.unix && Sys.getenv_opt "RFN_NO_FORK" = None
+let available () = Sys.unix
 
 (* ---- fault injection --------------------------------------------------- *)
 
@@ -405,169 +405,95 @@ let cancel_loser w =
     w.eof <- true
   end
 
-(* ---- sequential fallback ----------------------------------------------- *)
-
-(* No fork available: run the entrants one after another in-process.
-   Classification semantics are identical; injected worker faults are
-   simulated structurally (the first entrant is sacrificed) so the
-   chaos tests mean the same thing everywhere. *)
-let sequential ~classify entrants =
-  let failures = ref [] in
-  let held = ref None in
-  let simulate_fault w_name fault =
-    let resource, detail =
-      match (fault : worker_fault) with
-      | Kill -> (F.Worker_crashed, "injected worker-kill (sequential)")
-      | Hang -> (F.Worker_timeout, "injected worker-hang (sequential)")
-      | Garbage -> (F.Worker_garbage, "injected worker-garbage (sequential)")
-    in
-    let f = { entrant = w_name; resource; detail } in
-    failures := f :: !failures;
-    Telemetry.incr c_failures;
-    Telemetry.event "proc.worker_failure"
-      [
-        ("entrant", Json.Str w_name);
-        ("resource", Json.Str (F.resource_tag resource));
-        ("detail", Json.Str detail);
-      ]
-  in
-  let rec go = function
-    | [] -> (
-      match !held with
-      | Some (name, payload) -> Held (name, payload)
-      | None -> All_failed (List.rev !failures))
-    | e :: rest -> (
-      match take_injected () with
-      | Some fault ->
-        simulate_fault e.name fault;
-        go rest
-      | None -> (
-        match e.run () with
-        | exception exn ->
-          let f =
-            {
-              entrant = e.name;
-              resource = F.Worker_crashed;
-              detail = Printexc.to_string exn;
-            }
-          in
-          failures := f :: !failures;
-          Telemetry.incr c_failures;
-          go rest
-        | payload -> (
-          match classify payload with
-          | Win ->
-            Telemetry.incr c_wins;
-            Telemetry.incr (Telemetry.counter ("race.wins." ^ e.name));
-            Winner (e.name, payload)
-          | Hold ->
-            if !held = None then held := Some (e.name, payload);
-            go rest
-          | Reject why ->
-            let f =
-              {
-                entrant = e.name;
-                resource = F.Worker_garbage;
-                detail = "rejected payload: " ^ why;
-              }
-            in
-            failures := f :: !failures;
-            Telemetry.incr c_failures;
-            go rest)))
-  in
-  go entrants
-
 (* ---- the race ---------------------------------------------------------- *)
 
 let race ?deadline ~policy ~classify entrants =
   if entrants = [] then invalid_arg "Proc.race: no entrants";
+  if not (available ()) then invalid_arg "Proc.race: no fork on this platform";
   Telemetry.incr c_races;
-  if not (available ()) then sequential ~classify entrants
-  else begin
-    let start = Telemetry.now () in
-    let hard_deadline =
-      Option.map (fun d -> start +. d +. policy.deadline_slack) deadline
-    in
-    let failures = ref [] in
-    let workers = List.map (spawn ~policy) entrants in
-    let winner = ref None in
-    let find_winner () =
-      if !winner = None then
-        List.iter
-          (fun w ->
-            match w.payload with
-            | Some (Win, payload) when !winner = None ->
-              winner := Some (w, payload)
-            | _ -> ())
-          workers
-    in
-    while !winner = None && List.exists (fun w -> not w.eof) workers do
-      let fds =
-        List.filter_map (fun w -> if w.eof then None else Some w.fd) workers
-      in
-      let readable =
-        match Unix.select fds [] [] 0.05 with
-        | ready, _, _ -> ready
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-      in
+  let start = Telemetry.now () in
+  let hard_deadline =
+    Option.map (fun d -> start +. d +. policy.deadline_slack) deadline
+  in
+  let failures = ref [] in
+  let workers = List.map (spawn ~policy) entrants in
+  let winner = ref None in
+  let find_winner () =
+    if !winner = None then
       List.iter
         (fun w ->
-          if (not w.eof) && List.mem w.fd readable then
-            handle_readable ~classify ~failures w)
-        workers;
-      find_winner ();
-      if !winner = None then watchdog ~policy ~hard_deadline workers
-    done;
-    match !winner with
-    | Some (w, payload) ->
-      finish_lane w ~outcome:"win";
-      List.iter
-        (fun l ->
-          if l.pid <> w.pid then begin
-            cancel_loser l;
-            finish_lane l
-              ~outcome:
-                (match (l.payload, l.failed) with
-                | Some _, _ -> "held"
-                | None, Some f -> F.resource_tag f.resource
-                | None, None -> "cancelled")
-          end)
-        workers;
-      (* drain the winner's pipe to EOF so it is reaped, not zombied *)
-      if not w.eof then begin
-        (try
-           while not w.eof do
-             handle_readable ~classify ~failures w
-           done
-         with Unix.Unix_error (_, _, _) -> ());
-        if not w.eof then begin
-          ignore (reap w);
-          (try Unix.close w.fd with Unix.Unix_error (_, _, _) -> ());
-          w.eof <- true
-        end
-      end;
-      Telemetry.incr c_wins;
-      Telemetry.incr (Telemetry.counter ("race.wins." ^ w.w_name));
-      Winner (w.w_name, payload)
-    | None -> (
-      List.iter
-        (fun w ->
-          finish_lane w
+          match w.payload with
+          | Some (Win, payload) when !winner = None ->
+            winner := Some (w, payload)
+          | _ -> ())
+        workers
+  in
+  while !winner = None && List.exists (fun w -> not w.eof) workers do
+    let fds =
+      List.filter_map (fun w -> if w.eof then None else Some w.fd) workers
+    in
+    let readable =
+      match Unix.select fds [] [] 0.05 with
+      | ready, _, _ -> ready
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    List.iter
+      (fun w ->
+        if (not w.eof) && List.mem w.fd readable then
+          handle_readable ~classify ~failures w)
+      workers;
+    find_winner ();
+    if !winner = None then watchdog ~policy ~hard_deadline workers
+  done;
+  match !winner with
+  | Some (w, payload) ->
+    finish_lane w ~outcome:"win";
+    List.iter
+      (fun l ->
+        if l.pid <> w.pid then begin
+          cancel_loser l;
+          finish_lane l
             ~outcome:
-              (match (w.payload, w.failed) with
+              (match (l.payload, l.failed) with
               | Some _, _ -> "held"
               | None, Some f -> F.resource_tag f.resource
-              | None, None -> "lost"))
-        workers;
-      let held =
-        List.find_map
-          (fun w ->
-            match w.payload with
-            | Some ((Win | Hold), payload) -> Some (w.w_name, payload)
-            | Some (Reject _, _) | None -> None)
-          workers
-      in
-      match held with
-      | Some (name, payload) -> Held (name, payload)
-      | None -> All_failed (List.rev !failures))
-  end
+              | None, None -> "cancelled")
+        end)
+      workers;
+    (* drain the winner's pipe to EOF so it is reaped, not zombied *)
+    if not w.eof then begin
+      (try
+         while not w.eof do
+           handle_readable ~classify ~failures w
+         done
+       with Unix.Unix_error (_, _, _) -> ());
+      if not w.eof then begin
+        ignore (reap w);
+        (try Unix.close w.fd with Unix.Unix_error (_, _, _) -> ());
+        w.eof <- true
+      end
+    end;
+    Telemetry.incr c_wins;
+    Telemetry.incr (Telemetry.counter ("race.wins." ^ w.w_name));
+    Winner (w.w_name, payload)
+  | None -> (
+    List.iter
+      (fun w ->
+        finish_lane w
+          ~outcome:
+            (match (w.payload, w.failed) with
+            | Some _, _ -> "held"
+            | None, Some f -> F.resource_tag f.resource
+            | None, None -> "lost"))
+      workers;
+    let held =
+      List.find_map
+        (fun w ->
+          match w.payload with
+          | Some ((Win | Hold), payload) -> Some (w.w_name, payload)
+          | Some (Reject _, _) | None -> None)
+        workers
+    in
+    match held with
+    | Some (name, payload) -> Held (name, payload)
+    | None -> All_failed (List.rev !failures))

@@ -64,10 +64,8 @@ val policy_of_env : unit -> policy
     [yes]. *)
 
 val available : unit -> bool
-(** Whether worker processes can actually be forked here: a Unix
-    platform and [RFN_NO_FORK] unset. When [false], {!race} degrades
-    to running its entrants sequentially in-process — same answers,
-    no isolation. *)
+(** Whether worker processes can be forked here: a Unix platform. Where
+    they cannot, callers keep everything in-process. *)
 
 val rss_mb_of_file : string -> int
 (** Resident-set size in MiB parsed from a [/proc/<pid>/statm]-format
@@ -91,10 +89,9 @@ val worker_fault_of_string : string -> worker_fault option
 
 val with_injected : worker_fault -> (unit -> 'a) -> 'a
 (** [with_injected fault f] arms a one-shot injection slot and runs
-    [f]: the next worker spawned (or, without fork, the next
-    sequential entrant) inside [f] suffers [fault] instead of running
-    its query. The slot is cleared when consumed and on exit from [f]
-    (exceptions included). Used by the supervisor's [worker-*]
+    [f]: the next worker spawned inside [f] suffers [fault] instead of
+    running its query. The slot is cleared when consumed and on exit
+    from [f] (exceptions included). Used by the supervisor's [worker-*]
     injection modes; not thread-safe, like the rest of the driver. *)
 
 (* ---- racing ------------------------------------------------------------ *)
@@ -142,13 +139,12 @@ val race :
     first conclusive answer. [deadline] is a per-query wall-clock
     budget in seconds; the watchdog kills workers that outlive it by
     more than [policy.deadline_slack]. One entrant is a degenerate but
-    valid race (isolation without competition). When {!available} is
-    [false] the entrants run sequentially in-process instead, with
-    identical classification semantics (and injected faults simulated
-    structurally). @raise Invalid_argument on an empty entrant list.
+    valid race (isolation without competition).
 
     Telemetry (parent-side): counters [proc.workers_spawned],
     [proc.worker_failures], [race.runs], [race.wins],
     [race.wins.<entrant>]; a [proc.worker_failure] event per failure;
     and, when a trace sink is attached, one Chrome-trace lane per
-    worker (named [worker:<entrant>]) with a slice per query. *)
+    worker (named [worker:<entrant>]) with a slice per query.
+    @raise Invalid_argument on an empty entrant list, or when
+    {!available} is [false]. *)

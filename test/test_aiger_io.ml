@@ -152,6 +152,9 @@ let test_error_messages () =
     "Aiger_io: line 1: header M = 1 < I + L + A = 2";
   check_fails "binary M must be exact" "aig 3 1 1 0 0\n"
     "Aiger_io: line 1: binary header requires M = I + L + A, got 3 <> 2";
+  check_fails "implicit inputs past the limit" "aig 100000000 100000000 0 0 0"
+    "Aiger_io: line 1: header I = 100000000 exceeds the limit of 1048576 \
+     inputs";
   check_fails "wrong input literal" "aag 1 1 0 0 0\n4\n"
     "Aiger_io: line 2: input 0: expected literal 2, got 4";
   check_fails "bad latch reset" "aag 2 1 1 0 0\n2\n4 2 5\n"

@@ -10,7 +10,6 @@ module Analysis = Rfn_analysis.Analysis
 module Rfn = Rfn_core.Rfn
 module Concretize = Rfn_core.Concretize
 module Sat_bmc = Rfn_core.Sat_bmc
-module Bmc = Rfn_core.Bmc
 module Supervisor = Rfn_core.Supervisor
 
 (* SAT unrollings check their CNF when the suite runs under RFN_CHECK. *)
@@ -421,12 +420,12 @@ let test_sat_bmc_with_invariants () =
           ~max_depth:10
       in
       match (plain, with_inv) with
-      | Bmc.Found t0, Bmc.Found t1 ->
+      | Concretize.Found t0, Concretize.Found t1 ->
         Alcotest.(check int)
           (name ^ ": same counterexample depth with invariant clauses")
           (Trace.length t0) (Trace.length t1)
-      | Bmc.Exhausted, Bmc.Exhausted -> ()
-      | Bmc.Gave_up _, Bmc.Gave_up _ -> ()
+      | Concretize.Not_found_here, Concretize.Not_found_here -> ()
+      | Concretize.Gave_up _, Concretize.Gave_up _ -> ()
       | _ -> Alcotest.failf "%s: Sat_bmc outcome changed under invariants" name)
     (zoo ())
 

@@ -184,6 +184,67 @@ let test_no_leak_across_runs () =
   Alcotest.(check (list string)) "same records after a larger run" first
     (run small)
 
+(* The race rungs, which the golden cases never reach with the worker
+   pool off. The design is combinational, so its abstract model is
+   closed from the start and refinement can only come back empty. Its
+   bad signal is [x AND (y0 OR ... OR y299)]: the abstract trace pins
+   [x] and one [y], which leaves the SAT solver some 300 free variables
+   to decide. Under a zero time budget the solver stops at its first
+   time check (every 256 decisions) and gives up with [Time], which is
+   terminal: Step 3's race settles without the in-process rung below
+   it, and the refine ladder falls through to the race re-check and
+   then the in-process one. The watchdog's slack is wide so that the
+   workers' own give-ups, not the watchdog, settle the races. *)
+let test_race_rungs () =
+  let module B = Circuit.Builder in
+  let b = B.create () in
+  let x = B.input b "x" in
+  let ys = List.init 300 (fun i -> B.input b (Printf.sprintf "y%d" i)) in
+  B.output b "bad" (B.and2 b x (B.or_l b ys));
+  let c = B.finalize b in
+  let config =
+    {
+      (config ~engines:Rfn.Sat_only ~mode:"clean") with
+      Rfn.concrete_atpg =
+        { Atpg.max_backtracks = 200_000; max_seconds = Some 0.0 };
+      proc =
+        {
+          Rfn_proc.Proc.default_policy with
+          Rfn_proc.Proc.enabled = true;
+          deadline_slack = 60.0;
+        };
+    }
+  in
+  let events = Filename.temp_file "rfn_cegar" ".jsonl" in
+  Telemetry.attach_jsonl events;
+  let outcome, _ = Rfn.verify ~config c (Property.of_output c "bad") in
+  Telemetry.detach ();
+  Telemetry.disable ();
+  let rungs = supervisor_events events in
+  Sys.remove events;
+  let verdict =
+    match outcome with
+    | Rfn.Proved -> "proved"
+    | Rfn.Falsified _ -> "falsified"
+    | Rfn.Aborted f -> Rfn_failure.to_string f
+  in
+  Alcotest.(check string)
+    "verdict"
+    "conflict limit in refinement (sequential ATPG engine, iteration 1, 3 \
+     recovery attempts)"
+    verdict;
+  Alcotest.(check (list string))
+    "rung trail"
+    [
+      "supervisor_failure concretize race time";
+      "supervisor_escalation";
+      "supervisor_failure refine crucial-registers no_refinement";
+      "supervisor_failure refine highest-fanout invariant";
+      "supervisor_failure refine race-recheck backtracks";
+      "supervisor_failure refine sat-bmc-recheck conflicts";
+    ]
+    (List.map (function Json.Str s -> s | j -> Json.to_string j) rungs)
+
 (* Records written before the Figure-1 step counts existed still load. *)
 let test_old_record_loads () =
   let line = List.hd (read_lines "golden/cegar.jsonl") in
@@ -207,5 +268,7 @@ let () =
             test_no_leak_across_runs;
           Alcotest.test_case "pre-Figure-1 records load" `Quick
             test_old_record_loads;
+          Alcotest.test_case "race and race re-check rungs" `Quick
+            test_race_rungs;
         ] );
     ]

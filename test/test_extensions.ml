@@ -102,16 +102,19 @@ let test_guided_any () =
   match Rfn.verify c (Property.make ~name:"bug" ~bad) with
   | Rfn.Falsified t, _ -> (
     (* a bogus trace (wrong length, impossible constraints) followed by
-       the real one: guided_any must still find the counterexample *)
+       the real one: the first Found must still win *)
     let impossible =
       Trace.make
         ~states:[| Cube.of_list [ (bad, true) ] |]
         ~inputs:[| Cube.empty |]
     in
     match
-      Concretize.guided_any c ~bad ~abstract_traces:[ impossible; t ]
+      Concretize.first_found
+        (fun abstract_trace ->
+          fst (Concretize.guided c ~bad ~abstract_trace))
+        [ impossible; t ]
     with
-    | Concretize.Found t', _ ->
+    | Concretize.Found t' ->
       Alcotest.(check bool) "replays" true (Sim3v.replay_concrete c t' ~bad)
     | _ -> Alcotest.fail "expected Found")
   | _ -> Alcotest.fail "expected Falsified"

@@ -1,7 +1,7 @@
 (* The netlist optimizer, the BMC baseline, and reordering-by-rebuild. *)
 
 open Rfn_circuit
-module Bmc = Rfn_core.Bmc
+module Concretize = Rfn_core.Concretize
 module Bdd = Rfn_bdd.Bdd
 module Reorder = Rfn_bdd.Reorder
 module Sim3v = Rfn_sim3v.Sim3v
@@ -153,13 +153,13 @@ let test_opt_verification_agrees () =
   | Rfn_core.Rfn.Proved, _ -> ()
   | _ -> Alcotest.fail "psh_full no longer proved after simplify"
 
-(* ---- Bmc ------------------------------------------------------------ *)
+(* ---- ATPG falsify ----------------------------------------------------- *)
 
 let test_bmc_finds_shallow_bug () =
   let c = Helpers.counter_design ~width:3 ~limit:4 in
   let bad = Circuit.output c "at_limit" in
-  match Bmc.falsify c ~bad ~max_depth:10 with
-  | Bmc.Found t, _ ->
+  match Concretize.falsify c ~bad ~max_depth:10 with
+  | Concretize.Found t, _ ->
     Alcotest.(check int) "shortest counterexample" 5 (Trace.length t);
     Alcotest.(check bool) "replays" true (Sim3v.replay_concrete c t ~bad)
   | _ -> Alcotest.fail "expected Found"
@@ -167,8 +167,8 @@ let test_bmc_finds_shallow_bug () =
 let test_bmc_exhausts () =
   let c = Helpers.arbiter_design () in
   let bad = Circuit.output c "bad" in
-  match Bmc.falsify c ~bad ~max_depth:6 with
-  | Bmc.Exhausted, _ -> ()
+  match Concretize.falsify c ~bad ~max_depth:6 with
+  | Concretize.Not_found_here, _ -> ()
   | _ -> Alcotest.fail "expected Exhausted"
 
 let bmc_agrees_with_rfn =
@@ -178,16 +178,16 @@ let bmc_agrees_with_rfn =
        (fun rc ->
          let c = rc.Helpers.circuit in
          let bad = rc.Helpers.out in
-         let bmc, _ = Bmc.falsify c ~bad ~max_depth:10 in
+         let bmc, _ = Concretize.falsify c ~bad ~max_depth:10 in
          match (bmc, Rfn_core.Rfn.verify c (Property.make ~name:"p" ~bad)) with
-         | Bmc.Found _, (Rfn_core.Rfn.Falsified _, _) -> true
-         | Bmc.Exhausted, (Rfn_core.Rfn.Proved, _) -> true
+         | Concretize.Found _, (Rfn_core.Rfn.Falsified _, _) -> true
+         | Concretize.Not_found_here, (Rfn_core.Rfn.Proved, _) -> true
          (* deep bugs beyond the BMC bound, or aborts: no claim *)
-         | Bmc.Exhausted, (Rfn_core.Rfn.Falsified t, _) ->
+         | Concretize.Not_found_here, (Rfn_core.Rfn.Falsified t, _) ->
            Trace.length t > 10
-         | Bmc.Gave_up _, _ | _, (Rfn_core.Rfn.Aborted _, _) ->
+         | Concretize.Gave_up _, _ | _, (Rfn_core.Rfn.Aborted _, _) ->
            QCheck.assume_fail ()
-         | Bmc.Found _, (Rfn_core.Rfn.Proved, _) -> false))
+         | Concretize.Found _, (Rfn_core.Rfn.Proved, _) -> false))
 
 (* ---- Reorder -------------------------------------------------------- *)
 

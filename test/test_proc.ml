@@ -197,10 +197,9 @@ let test_race_single_winner () =
       "payload crossed the pipe intact" true
       (Option.bind (Json.member "v" p) Json.to_int = Some 42)
   | _ -> Alcotest.fail "single entrant should win its own race");
-  if Proc.available () then
-    Alcotest.(check bool)
-      "a worker was actually forked" true
-      (counter "proc.workers_spawned" > spawned0)
+  Alcotest.(check bool)
+    "a worker was actually forked" true
+    (counter "proc.workers_spawned" > spawned0)
 
 let test_race_hold_is_last_resort () =
   match
@@ -276,8 +275,7 @@ let test_injected_hang_hits_the_watchdog () =
           [ entrant "solo" 1 ])
   with
   | Proc.All_failed [ f ] ->
-    (* forked: the watchdog times the silence out; sequential
-       fallback: the hang is simulated as the same timeout *)
+    (* the watchdog times the silence out *)
     Alcotest.(check bool)
       "silence becomes Worker_timeout" true
       (f.Proc.resource = F.Worker_timeout)
@@ -450,47 +448,6 @@ let test_stale_checkpoint_starts_fresh () =
   | _ -> Alcotest.fail "counter3/at_limit should still be falsified");
   if Sys.file_exists file then Sys.remove file
 
-(* ------------------------------------------------------------------ *)
-(* Sequential in-process fallback (RFN_NO_FORK)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* [Unix.putenv] cannot unset a variable and [available] checks for
-   unset, so these run LAST: everything after this point stays in the
-   no-fork degraded mode. *)
-
-let test_no_fork_fallback () =
-  Unix.putenv "RFN_NO_FORK" "1";
-  Alcotest.(check bool) "fork disabled" false (Proc.available ());
-  (match
-     Proc.race ~policy:quick_policy ~classify:(classify_all Proc.Win)
-       [ entrant "solo" 7 ]
-   with
-  | Proc.Winner ("solo", p) ->
-    Alcotest.(check bool)
-      "sequential fallback returns the payload" true
-      (Option.bind (Json.member "v" p) Json.to_int = Some 7)
-  | _ -> Alcotest.fail "sequential fallback should still win");
-  (* Injected faults are simulated structurally, so chaos tests mean
-     the same thing without fork. *)
-  match
-    Proc.with_injected Proc.Kill (fun () ->
-        Proc.race ~policy:quick_policy ~classify:(classify_all Proc.Win)
-          [ entrant "victim" 1; entrant "survivor" 2 ])
-  with
-  | Proc.Winner ("survivor", _) -> ()
-  | _ -> Alcotest.fail "sequential fallback must survive an injected kill"
-
-let test_no_fork_verdict_unchanged () =
-  (* A full racing CEGAR run in degraded mode still concludes. *)
-  let circuit = Helpers.deep_bug_design ~width:3 in
-  let prop = Property.of_output circuit "bad" in
-  match Rfn.verify ~config:(config ~race:true ()) circuit prop with
-  | Rfn.Falsified t, _ ->
-    Alcotest.(check bool)
-      "trace replays concretely" true
-      (Sim3v.replay_concrete circuit t ~bad:prop.Property.bad)
-  | _ -> Alcotest.fail "deep_bug3/bad should be falsified without fork"
-
 (* Regression: the RSS sampler used to let [input_line] exceptions
    escape into the heartbeat (reading a directory raises [Sys_error],
    not [End_of_file]); every degraded path must answer 0 — "RSS
@@ -567,11 +524,6 @@ let tests =
       `Quick test_checkpoint_resume_differential;
     Alcotest.test_case "a stale checkpoint starts fresh" `Quick
       test_stale_checkpoint_starts_fresh;
-    (* no-fork tests last: RFN_NO_FORK cannot be unset once set *)
-    Alcotest.test_case "sequential fallback without fork" `Quick
-      test_no_fork_fallback;
-    Alcotest.test_case "degraded mode still concludes" `Quick
-      test_no_fork_verdict_unchanged;
   ]
 
 let () = Alcotest.run "proc" [ ("proc", tests) ]

@@ -5,14 +5,13 @@
      every learned clause is entailed by the original formula;
    - unit tests of the incremental interface (assumptions, budgets,
      reuse after Unsat-under-assumptions);
-   - [Sat_bmc] against [Bmc] on the design zoo (same verdicts, same
-     shortest-counterexample depths), and the full CEGAR loop under
-     [--engine atpg|sat|portfolio] (same verdicts, validated traces),
-     with and without injected faults. *)
+   - [Sat_bmc.falsify] against ATPG's [Concretize.falsify] on the zoo
+     (same verdicts, same shortest-counterexample depths), and the full
+     CEGAR loop under [--engine atpg|sat|portfolio] (same verdicts,
+     validated traces), with and without injected faults. *)
 
 open Rfn_circuit
 module Solver = Rfn_sat.Solver
-module Bmc = Rfn_core.Bmc
 module Sat_bmc = Rfn_core.Sat_bmc
 module Concretize = Rfn_core.Concretize
 module Rfn = Rfn_core.Rfn
@@ -437,7 +436,7 @@ let test_conflict_budget () =
   Alcotest.(check bool) "search learned clauses" true (st.Solver.learned > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sat_bmc vs Bmc on the zoo                                           *)
+(* SAT vs ATPG falsify on the zoo                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_bmc_differential () =
@@ -445,14 +444,14 @@ let test_bmc_differential () =
     (fun (name, circuit, prop) ->
       let bad = prop.Property.bad in
       let max_depth = 12 in
-      let atpg, _ = Bmc.falsify circuit ~bad ~max_depth in
+      let atpg, _ = Concretize.falsify circuit ~bad ~max_depth in
       let sat, _ =
         Sat_bmc.falsify
           (Sat_bmc.unrolling ~check:env_check circuit ~bad)
           ~max_depth
       in
       match (atpg, sat) with
-      | Bmc.Found ta, Bmc.Found ts ->
+      | Concretize.Found ta, Concretize.Found ts ->
         (* both engines promise shortest counterexamples *)
         Alcotest.(check int)
           (name ^ ": same counterexample depth")
@@ -461,8 +460,8 @@ let test_bmc_differential () =
           (name ^ ": SAT trace replays concretely")
           true
           (Sim3v.replay_concrete circuit ts ~bad)
-      | Bmc.Exhausted, Bmc.Exhausted -> ()
-      | Bmc.Gave_up d, Bmc.Found ts ->
+      | Concretize.Not_found_here, Concretize.Not_found_here -> ()
+      | Concretize.Gave_up { frames = d; _ }, Concretize.Found ts ->
         (* ATPG ran out of budget at depth d after exhausting every
            shallower depth — a SAT counterexample below d would mean
            one of the engines is wrong *)
@@ -474,15 +473,17 @@ let test_bmc_differential () =
           (name ^ ": SAT trace replays concretely")
           true
           (Sim3v.replay_concrete circuit ts ~bad)
-      | Bmc.Gave_up _, (Bmc.Exhausted | Bmc.Gave_up _)
-      | Bmc.Exhausted, Bmc.Gave_up _ ->
+      | Concretize.Gave_up _, (Concretize.Not_found_here | Concretize.Gave_up _)
+      | Concretize.Not_found_here, Concretize.Gave_up _ ->
         (* one engine's budget ran out; nothing left to compare *)
         ()
       | _ ->
         let show = function
-          | Bmc.Found t -> Printf.sprintf "Found(len %d)" (Trace.length t)
-          | Bmc.Exhausted -> "Exhausted"
-          | Bmc.Gave_up d -> Printf.sprintf "Gave_up(%d)" d
+          | Concretize.Found t ->
+            Printf.sprintf "Found(len %d)" (Trace.length t)
+          | Concretize.Not_found_here -> "Exhausted"
+          | Concretize.Gave_up { frames; _ } ->
+            Printf.sprintf "Gave_up(%d)" frames
         in
         Alcotest.failf "%s: engines disagree (atpg %s, sat %s)" name
           (show atpg) (show sat))
@@ -494,8 +495,8 @@ let test_sat_guided_concretize () =
      Not_found_here for guidance that pins an unreachable cube. *)
   let circuit = Helpers.counter_design ~width:3 ~limit:7 in
   let bad = Circuit.output circuit "at_limit" in
-  match Bmc.falsify circuit ~bad ~max_depth:12 with
-  | Bmc.Found witness, _ -> (
+  match Concretize.falsify circuit ~bad ~max_depth:12 with
+  | Concretize.Found witness, _ -> (
     (* both queries run on one unrolling, as in the CEGAR loop *)
     let u = Sat_bmc.unrolling ~check:env_check circuit ~bad in
     let concretize traces = Sat_bmc.concretize u ~abstract_traces:traces in
@@ -521,9 +522,9 @@ let test_sat_guided_concretize () =
     | Concretize.Not_found_here, _ -> ()
     | Concretize.Found _, _ ->
       Alcotest.fail "guided SAT satisfied contradictory guidance"
-    | Concretize.Gave_up r, _ ->
-      Alcotest.failf "guided SAT gave up: %s" (F.resource_to_string r))
-  | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
+    | Concretize.Gave_up { resource; _ }, _ ->
+      Alcotest.failf "guided SAT gave up: %s" (F.resource_to_string resource))
+  | _ -> Alcotest.fail "Concretize.falsify lost the counter witness"
 
 let test_per_call_stats () =
   (* Two concretizations on one unrolling: each reports its own work —
@@ -531,8 +532,8 @@ let test_per_call_stats () =
      call — not the instance's running totals. *)
   let circuit = Helpers.counter_design ~width:3 ~limit:7 in
   let bad = Circuit.output circuit "at_limit" in
-  match Bmc.falsify circuit ~bad ~max_depth:12 with
-  | Bmc.Found witness, _ ->
+  match Concretize.falsify circuit ~bad ~max_depth:12 with
+  | Concretize.Found witness, _ ->
     let u = Sat_bmc.unrolling ~check:env_check circuit ~bad in
     let conflicts = Rfn_obs.Telemetry.counter "sat.conflicts" in
     let propagations = Rfn_obs.Telemetry.counter "sat.propagations" in
@@ -552,7 +553,7 @@ let test_per_call_stats () =
     Alcotest.(check bool)
       "first call propagated" true (first.Solver.propagations > 0);
     ignore (call "second call")
-  | _ -> Alcotest.fail "Bmc.falsify lost the counter witness"
+  | _ -> Alcotest.fail "Concretize.falsify lost the counter witness"
 
 (* The unrolling's own flag decides whether its CNF and pins are
    checked: RFN_CHECK is set to the opposite value for each run. *)
@@ -566,7 +567,7 @@ let test_unrolling_check_flag () =
     let before = Rfn_obs.Telemetry.counter_value passes in
     let u = Sat_bmc.unrolling ~check circuit ~bad in
     (match Sat_bmc.falsify u ~max_depth:12 with
-    | Bmc.Found _, _ -> ()
+    | Concretize.Found _, _ -> ()
     | _ -> Alcotest.fail "counter witness not found");
     Rfn_obs.Telemetry.counter_value passes - before
   in
