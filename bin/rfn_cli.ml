@@ -44,11 +44,7 @@ let netlist_arg =
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ])
 
 let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
-    ~inject ~race ~checkpoint ~resume =
-  let proc =
-    if race then { (Rfn_proc.Proc.policy_of_env ()) with Rfn_proc.Proc.enabled = true }
-    else Rfn_proc.Proc.policy_of_env ()
-  in
+    ~inject ~checkpoint ~resume =
   {
     Rfn.default_config with
     Rfn.max_seconds;
@@ -57,7 +53,6 @@ let config_of ~max_seconds ~node_limit ~max_iterations ~engines ~analyze
     engines;
     analyze;
     inject;
-    proc;
     checkpoint;
     resume;
   }
@@ -192,15 +187,6 @@ let verify_cmd =
   in
   let baseline = Arg.(value & flag & info [ "baseline" ]
                         ~doc:"Also run plain COI model checking.") in
-  let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Run concretization and the refinement re-check as races over \
-             process-isolated engine workers (first conclusive answer wins, \
-             losers are cancelled). Equivalent to $(b,RFN_RACE=1).")
-  in
   let checkpoint =
     Arg.(
       value
@@ -229,7 +215,7 @@ let verify_cmd =
       & info [ "inject-faults" ] ~docv:"SITES" ~docs:Cmdliner.Manpage.s_none)
   in
   let run netlist prop seconds nodes iters engines analyze trace_out baseline
-      race checkpoint resume inject_faults lint metrics_out chrome_trace
+      checkpoint resume inject_faults lint metrics_out chrome_trace
       profile verbose =
     setup_logs verbose;
     exit_code
@@ -255,7 +241,7 @@ let verify_cmd =
       with_telemetry ?trace_out:chrome_trace ~metrics_out ~profile @@ fun () ->
       let config =
         config_of ~max_seconds:seconds ~node_limit:nodes ~max_iterations:iters
-          ~engines ~analyze ~inject ~race ~checkpoint ~resume
+          ~engines ~analyze ~inject ~checkpoint ~resume
       in
       let outcome, stats = Rfn.verify ~config circuit property in
       Format.printf
@@ -307,7 +293,7 @@ let verify_cmd =
        ~doc:"Verify that an output signal can never be driven to 1.")
     Term.(
       const run $ netlist_arg $ prop $ seconds $ nodes $ iters $ engines_arg
-      $ analyze_arg $ trace_out $ baseline $ race $ checkpoint $ resume
+      $ analyze_arg $ trace_out $ baseline $ checkpoint $ resume
       $ inject_faults $ lint_arg $ metrics_out_arg $ trace_out_arg
       $ profile_arg $ verbose_arg)
 
@@ -684,15 +670,7 @@ let serve_cmd =
              resume from it when present — a restarted server continues \
              killed jobs at their last completed refinement.")
   in
-  let race =
-    Arg.(
-      value & flag
-      & info [ "race" ]
-          ~doc:
-            "Run each job's concretization and refinement re-check as races \
-             over process-isolated engine workers, as in $(b,verify --race).")
-  in
-  let run socket max_sessions max_nodes checkpoint_dir engines analyze race
+  let run socket max_sessions max_nodes checkpoint_dir engines analyze
       metrics_out chrome_trace profile verbose =
     setup_logs verbose;
     exit_code
@@ -702,7 +680,7 @@ let serve_cmd =
       config_of ~max_seconds:Rfn.default_config.Rfn.max_seconds
         ~node_limit:Rfn.default_config.Rfn.node_limit
         ~max_iterations:Rfn.default_config.Rfn.max_iterations ~engines ~analyze
-        ~inject:None ~race ~checkpoint:None ~resume:false
+        ~inject:None ~checkpoint:None ~resume:false
     in
     let limits =
       { Rfn_serve.Server.max_sessions = max 1 max_sessions; max_nodes }
@@ -728,7 +706,7 @@ let serve_cmd =
           failure, per-job counters and provenance).")
     Term.(
       const run $ socket $ max_sessions $ max_nodes $ checkpoint_dir
-      $ engines_arg $ analyze_arg $ race $ metrics_out_arg $ trace_out_arg
+      $ engines_arg $ analyze_arg $ metrics_out_arg $ trace_out_arg
       $ profile_arg $ verbose_arg)
 
 (* ---- rfn explain ---------------------------------------------------- *)

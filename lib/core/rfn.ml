@@ -87,7 +87,7 @@ let default_config =
     inject = None;
     session = Session.default_policy;
     check_invariants = Rfn_lint.Check.env_enabled ();
-    proc = Rfn_proc.Proc.policy_of_env ();
+    proc = Rfn_proc.Proc.default_policy;
     checkpoint = None;
     resume = false;
     job_id = "";
@@ -113,25 +113,24 @@ let prepare ?(config = default_config) circuit ~roots =
 
 (* One engine family of Step 3 and of the empty-refinement re-check: its
    answer to each, the resource a re-check give-up reports, and the rung
-   labels and race-entrant names events carry. *)
+   labels events carry. *)
 type engine = {
   family : F.engine;
-  guided : string * string;  (* Step-3 rung label, race entrant *)
-  recheck : string * string;  (* re-check rung label, race entrant *)
+  guided : string;  (* Step-3 rung label *)
+  recheck : string;  (* re-check rung label *)
   give_up : F.resource;
   concretize : Atpg.limits -> Trace.t list -> Concretize.outcome;
   falsify : Atpg.limits -> max_depth:int -> Concretize.outcome;
 }
 
 (* [config.engines] as the primary engine and the rest. [analysis] and
-   [unrolling] are what one run's in-process rungs share; race workers
-   get neither and encode their own unrolling. *)
+   [unrolling] are what one run's rungs share. *)
 let engines_for ?analysis ~unrolling circuit ~bad selection =
   let atpg =
     {
       family = F.Seq_atpg;
-      guided = ("guided-atpg", "atpg");
-      recheck = ("bmc-recheck", "bmc");
+      guided = "guided-atpg";
+      recheck = "bmc-recheck";
       give_up = F.Backtracks;
       concretize =
         (fun limits ->
@@ -147,8 +146,8 @@ let engines_for ?analysis ~unrolling circuit ~bad selection =
   let sat =
     {
       family = F.Sat;
-      guided = ("guided-sat", "sat");
-      recheck = ("sat-bmc-recheck", "sat");
+      guided = "guided-sat";
+      recheck = "sat-bmc-recheck";
       give_up = F.Conflicts;
       concretize =
         (fun limits abstract_traces ->
@@ -175,13 +174,11 @@ type run = {
   sup : Supervisor.t;
   coi : Coi.t;
   engines : engine * engine list;
-      (* in-process rungs, primary first; the SAT entry extends one
+      (* the rungs, primary first; the SAT entry extends one
          unrolling per run, built on first use, so the cone is encoded
          once and learned clauses carry across iterations. It dies with
          the run — a pooled session keeps none, since the pool bounds
          memory by BDD nodes alone. *)
-  racers : engine * engine list;
-      (* the same engines, as race-worker entrants *)
   checkpoint : Checkpoint.run option;
   started : float;
   resumed_iterations : int;
@@ -191,13 +188,11 @@ type run = {
 
 (* The engine counters a provenance record attributes to its iteration,
    as deltas from a snapshot taken when the iteration starts; in record
-   order: retries, fallbacks, injected, worker_failures, sat_learned,
-   backtracks. *)
+   order: retries, fallbacks, injected, sat_learned, backtracks. *)
 let attributed =
   Array.map Telemetry.counter
     [| "supervisor.retries"; "supervisor.fallbacks";
-       "supervisor.injected_faults"; "proc.worker_failures"; "sat.learned";
-       "atpg.backtracks" |]
+       "supervisor.injected_faults"; "sat.learned"; "atpg.backtracks" |]
 
 let snapshot () = Array.map Telemetry.counter_value attributed
 let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
@@ -231,9 +226,8 @@ let begin_iteration run iter =
         trace_depth = None; cut_size = None; no_cut_steps = 0;
         min_cut_steps = 0; cubes = 0; guidance = 0; engine = "";
         concretize = "none"; promoted = []; candidates = 0; retries = 0;
-        fallbacks = 0; injected = 0; worker_failures = 0; bdd_nodes = 0;
-        bdd_peak = 0; sat_learned = 0; backtracks = 0; seconds = 0.0;
-        outcome = "";
+        fallbacks = 0; injected = 0; bdd_nodes = 0; bdd_peak = 0;
+        sat_learned = 0; backtracks = 0; seconds = 0.0; outcome = "";
       };
   }
 
@@ -248,7 +242,7 @@ let close run cur outcome =
     {
       cur.record with
       retries = d.(0); fallbacks = d.(1); injected = d.(2);
-      worker_failures = d.(3); sat_learned = d.(4); backtracks = d.(5);
+      sat_learned = d.(3); backtracks = d.(4);
       bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
       bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
       seconds = Telemetry.now () -. cur.iter_started;
@@ -296,38 +290,16 @@ let concrete_limits run =
 
 (* Step 3 and the re-check as one ladder: each engine's answer to
    [query] as a rung, the primary's of [kind] and the rest fallbacks.
-   With the worker pool enabled (and fork available), a race of all of
-   them heads the ladder and the in-process rungs stay below it as
-   fallbacks, so a crashed, hung or babbling worker degrades to them
-   instead of changing the verdict. [as_rung] turns an answer into the
-   rung's result; it gets the resource a give-up of that rung reports:
-   the engine's own, and [Backtracks] for the race. *)
-let ladder run ~kind ~race ~label ~query ~as_rung =
+   [as_rung] turns an answer into the rung's result; it gets the
+   resource a give-up of that engine reports. *)
+let ladder run ~kind ~label ~query ~as_rung =
   let primary, rest = run.engines in
-  let rungs =
-    List.mapi
-      (fun i e ->
-        ( (if i = 0 then kind else Supervisor.Fallback),
-          fst (label e),
-          fun () -> as_rung e.give_up (query e (concrete_limits run)) ))
-      (primary :: rest)
-  in
-  if not (run.config.proc.Rfn_proc.Proc.enabled && Rfn_proc.Proc.available ())
-  then rungs
-  else
-    let raced () =
-      let limits = concrete_limits run in
-      let primary, rest = run.racers in
-      Result.bind
-        (Racing.race ?deadline:limits.Atpg.max_seconds ~policy:run.config.proc
-           run.circuit ~bad:run.bad
-           (List.map
-              (fun e -> (snd (label e), fun () -> query e limits))
-              (primary :: rest)))
-        (as_rung F.Backtracks)
-    in
-    (kind, race, raced)
-    :: List.map (fun (_, l, f) -> (Supervisor.Fallback, l, f)) rungs
+  List.mapi
+    (fun i e ->
+      ( (if i = 0 then kind else Supervisor.Fallback),
+        label e,
+        fun () -> as_rung e.give_up (query e (concrete_limits run)) ))
+    (primary :: rest)
 
 (* ---- Step 2a: prove, or find the bad states' depth ------------------- *)
 
@@ -496,16 +468,14 @@ let extract run cur (vm, fn, res, k) =
    degrades to a give-up, which escalates the backtrack budget for the
    next iteration and refines. The ladder is the engine list, primary
    first, so in portfolio mode an ATPG give-up escalates to SAT-guided
-   BMC at the same depth; with the worker pool on, a race of all of them
-   runs first. *)
+   BMC at the same depth. *)
 let concretize run cur guidance =
   let engine = (fst run.engines).family in
   let concrete =
     Telemetry.with_span "rfn.concretize" ~attrs:cur.attrs (fun () ->
         Supervisor.run run.sup ~site:Supervisor.Concretize ~engine
           ~phase:F.Concretization ~iteration:cur.iter
-          (ladder run ~kind:Supervisor.Primary ~race:"race"
-             ~label:(fun e -> e.guided)
+          (ladder run ~kind:Supervisor.Primary ~label:(fun e -> e.guided)
              ~query:(fun e limits -> e.concretize limits guidance)
              ~as_rung:(fun _ -> function
                | Concretize.Found t -> Ok (Some t)
@@ -537,8 +507,7 @@ let concretize run cur guidance =
 
 (* Ladder: crucial registers, then (on an empty refinement) the
    highest-fanout pseudo-input, then a BMC re-check at the abstract
-   trace's depth by each engine of the list (raced first when the
-   worker pool is on). *)
+   trace's depth by each engine of the list. *)
 let refine run cur abstract_trace =
   let abstraction = cur.abstraction in
   let crucial () =
@@ -567,8 +536,7 @@ let refine run cur abstract_trace =
   in
   let max_depth = Trace.length abstract_trace in
   let rechecks =
-    ladder run ~kind:Supervisor.Fallback ~race:"race-recheck"
-      ~label:(fun e -> e.recheck)
+    ladder run ~kind:Supervisor.Fallback ~label:(fun e -> e.recheck)
       ~query:(fun e limits -> e.falsify limits ~max_depth)
       ~as_rung:(fun give_up -> function
         | Concretize.Found t -> Ok (`Cex t)
@@ -766,10 +734,6 @@ let verify_in_session ?(config = default_config) session prop =
       engines =
         engines_for ?analysis
           ~unrolling:(fun () -> Lazy.force unrolling)
-          circuit ~bad config.engines;
-      racers =
-        engines_for
-          ~unrolling:(fun () -> Sat_bmc.unrolling ~check circuit ~bad)
           circuit ~bad config.engines;
       checkpoint;
       started;

@@ -24,11 +24,9 @@
     the highest-fanout pseudo-input and finally a BMC re-check. The
     Step-3 ladder and the re-check rungs are both built from one engine
     table ({!engines}), each engine answering the one query of
-    {!Concretize}; with the worker pool on (and fork available), a
-    {!Racing} rung over the same engines runs first. Failures that
-    survive the ladders surface as [Aborted] with a structured
-    {!Rfn_failure.t}. Each iteration leaves one
-    {!Rfn_obs.Provenance.t} record. *)
+    {!Concretize} in this process. Failures that survive the ladders
+    surface as [Aborted] with a structured {!Rfn_failure.t}. Each
+    iteration leaves one {!Rfn_obs.Provenance.t} record. *)
 
 type engines =
   | Atpg_only  (** the paper's engines only: guided sequential ATPG *)
@@ -102,14 +100,10 @@ type config = {
           [Invariant] failure. Defaults to the [RFN_CHECK]
           environment flag ({!Rfn_lint.Check.env_enabled}) *)
   proc : Rfn_proc.Proc.policy;
-      (** worker-pool policy: when [enabled], Step 3 and the
-          empty-refinement re-check run as races over isolated worker
-          processes ({!Racing}), with the in-process engines demoted
-          to fallback rungs — a worker crash, hang, memory blow-up or
-          protocol violation degrades to the in-process portfolio and
-          can never change the verdict. Where fork is unavailable the
-          race rung is left out. Defaults to
-          {!Rfn_proc.Proc.policy_of_env} ([RFN_RACE]) *)
+      (** ignored: every query runs in-process. The field remains only
+          because the benchmark harness (rfnbench/harness.ml) still
+          sets it; it goes when a benchmark change drops it there (see
+          {!Rfn_proc.Proc}). Defaults to {!Rfn_proc.Proc.default_policy} *)
   checkpoint : string option;
       (** when set, serialize the loop state to this file at every
           iteration boundary (atomic write, keyed by a netlist

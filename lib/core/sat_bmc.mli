@@ -15,8 +15,7 @@
     encoded once, to the deepest trace, not once per iteration. It is
     dropped when the run ends and never kept in a pooled server
     session, whose memory bound counts BDD nodes only. One-shot callers
-    ([rfn bmc --engine sat], forked race workers, the bench harness)
-    build their own. *)
+    ([rfn bmc --engine sat], the bench harness) build their own. *)
 
 type unrolling
 (** The whole design's cone of one bad signal, unrolled frame by frame

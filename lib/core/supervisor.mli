@@ -31,11 +31,6 @@ val site_to_string : site -> string
 type fault =
   | Fail  (** the rung fails with {!Rfn_failure.Injected} (not run) *)
   | Delay of float  (** sleep that many seconds, then run the rung *)
-  | Worker of Rfn_proc.Proc.worker_fault
-      (** arm the worker pool's one-shot injection slot and run the
-          rung: the next worker it spawns is killed / hung / made to
-          babble (see {!Rfn_proc.Proc.with_injected}); a rung that
-          spawns no worker is unaffected *)
 
 type kind =
   | Primary  (** the normal strategy; the only rung faults inject into *)
@@ -109,13 +104,10 @@ val escalate : t -> unit
 val inject_of_spec : string -> (site -> fault option) option
 (** Parse a fault-injection spec: [""] or ["off"] → [None] (no
     injection); ["all"] → every site; otherwise a comma-separated list
-    of site tags (see {!site_to_string}) and/or worker-fault tokens
-    (["worker-kill"], ["worker-hang"], ["worker-garbage"] — these
-    target the {!Concretize} site's racing rung). Each entry faults
-    {e once} per returned hook — the retry/fallback rung (or the
-    surviving race entrant) must then succeed, which is exactly what
-    the chaos tests assert. Raises [Invalid_argument] on an unknown
-    tag. *)
+    of site tags (see {!site_to_string}). Each entry faults {e once}
+    per returned hook — the retry/fallback rung must then succeed,
+    which is exactly what the chaos tests assert. Raises
+    [Invalid_argument] on an unknown tag. *)
 
 val run :
   t ->

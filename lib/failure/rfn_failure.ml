@@ -17,10 +17,6 @@ type resource =
   | Iterations
   | No_refinement
   | Injected
-  | Worker_crashed
-  | Worker_timeout
-  | Worker_oom
-  | Worker_garbage
   | Invariant of string
 
 type t = {
@@ -36,7 +32,6 @@ let make ?(iteration = 0) ?(retries = 0) ~engine ~phase resource =
 
 let retryable_resource = function
   | Nodes | Backtracks | Conflicts | Cube_tries | No_refinement | Injected
-  | Worker_crashed | Worker_timeout | Worker_oom | Worker_garbage
   | Invariant _ ->
     true
   | Time | Steps | Iterations -> false
@@ -66,10 +61,6 @@ let resource_to_string = function
   | Iterations -> "iteration limit"
   | No_refinement -> "no crucial registers to add"
   | Injected -> "injected fault"
-  | Worker_crashed -> "engine worker died"
-  | Worker_timeout -> "engine worker deadline"
-  | Worker_oom -> "engine worker memory cap"
-  | Worker_garbage -> "engine worker protocol violation"
   | Invariant msg -> "internal: " ^ msg
 
 let to_string f =
@@ -116,30 +107,7 @@ let resource_tag = function
   | Iterations -> "iterations"
   | No_refinement -> "no_refinement"
   | Injected -> "injected"
-  | Worker_crashed -> "worker_crashed"
-  | Worker_timeout -> "worker_timeout"
-  | Worker_oom -> "worker_oom"
-  | Worker_garbage -> "worker_garbage"
   | Invariant _ -> "invariant"
-
-(* Inverse of [resource_tag] for the worker-protocol wire format.
-   [Invariant] carries a message, so its tag round-trips through the
-   separate error payload instead. *)
-let resource_of_tag = function
-  | "nodes" -> Some Nodes
-  | "steps" -> Some Steps
-  | "time" -> Some Time
-  | "backtracks" -> Some Backtracks
-  | "conflicts" -> Some Conflicts
-  | "cube_tries" -> Some Cube_tries
-  | "iterations" -> Some Iterations
-  | "no_refinement" -> Some No_refinement
-  | "injected" -> Some Injected
-  | "worker_crashed" -> Some Worker_crashed
-  | "worker_timeout" -> Some Worker_timeout
-  | "worker_oom" -> Some Worker_oom
-  | "worker_garbage" -> Some Worker_garbage
-  | _ -> None
 
 let to_attrs f =
   let open Rfn_obs.Json in

@@ -5,11 +5,8 @@
     happen; {!close} terminates the array. Timestamps are given in
     seconds relative to the writer's epoch (negative values are clamped
     to zero) and written in microseconds, as the format requires. All
-    events carry [pid = 1]; events default to [tid = 1] (the engines are
-    single-threaded, so nesting is reconstructed from containment), but
-    callers may place a slice on another lane with [?tid] — the worker
-    pool uses one lane per racing engine process, named via
-    {!thread_name}.
+    events carry [pid = 1] and [tid = 1]: the engines are
+    single-threaded, so nesting is reconstructed from containment.
 
     The array format tolerates a missing trailing "]" (so a crashed
     run's trace still loads), but {!close} always writes it — and is
@@ -25,28 +22,22 @@ val complete :
   t ->
   name:string ->
   ?cat:string ->
-  ?tid:int ->
   ts:float ->
   dur:float ->
   ?args:(string * Json.t) list ->
   unit ->
   unit
 (** A ["ph":"X"] complete event: a span of [dur] seconds starting [ts]
-    seconds after the epoch, on lane [tid] (default 1). *)
+    seconds after the epoch. *)
 
 val instant :
   t ->
   name:string ->
-  ?tid:int ->
   ts:float ->
   ?args:(string * Json.t) list ->
   unit ->
   unit
 (** A ["ph":"i"] thread-scoped instant event. *)
-
-val thread_name : t -> tid:int -> string -> unit
-(** Emit a thread-name metadata record so the viewer labels lane [tid]
-    (e.g. ["worker:atpg"]). Emit once per lane. *)
 
 val counter : t -> name:string -> ts:float -> (string * float) list -> unit
 (** A ["ph":"C"] counter event: each [(series, value)] pair becomes a

@@ -17,7 +17,6 @@ type t = {
   retries : int;
   fallbacks : int;
   injected : int;
-  worker_failures : int;
   bdd_nodes : int;
   bdd_peak : int;
   sat_learned : int;
@@ -51,7 +50,6 @@ let to_fields p =
     ("retries", Json.Int p.retries);
     ("fallbacks", Json.Int p.fallbacks);
     ("injected", Json.Int p.injected);
-    ("worker_failures", Json.Int p.worker_failures);
     ("bdd_nodes", Json.Int p.bdd_nodes);
     ("bdd_peak", Json.Int p.bdd_peak);
     ("sat_learned", Json.Int p.sat_learned);
@@ -119,7 +117,6 @@ let of_json j =
   let* retries = int "retries" in
   let* fallbacks = int "fallbacks" in
   let* injected = int "injected" in
-  let* worker_failures = int_or_zero "worker_failures" in
   let* bdd_nodes = int "bdd_nodes" in
   let* bdd_peak = int "bdd_peak" in
   let* sat_learned = int "sat_learned" in
@@ -131,8 +128,7 @@ let of_json j =
       iter; regs_before; regs_after; model_inputs; fixpoint_steps;
       trace_depth; cut_size; no_cut_steps; min_cut_steps; cubes; guidance;
       engine; concretize; promoted; candidates; retries; fallbacks; injected;
-      worker_failures; bdd_nodes; bdd_peak; sat_learned; backtracks; seconds;
-      outcome;
+      bdd_nodes; bdd_peak; sat_learned; backtracks; seconds; outcome;
     }
 
 (* ---- narrative ------------------------------------------------------- *)
@@ -166,9 +162,6 @@ let pp ppf p =
       p.fallbacks
       (if p.fallbacks = 1 then "" else "s")
       p.injected;
-  if p.worker_failures > 0 then
-    Format.fprintf ppf "; %d worker failure%s" p.worker_failures
-      (if p.worker_failures = 1 then "" else "s");
   Format.fprintf ppf "; bdd %d live / %d peak nodes" p.bdd_nodes p.bdd_peak;
   if p.sat_learned > 0 then
     Format.fprintf ppf "; sat +%d learned" p.sat_learned;

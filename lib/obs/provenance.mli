@@ -13,9 +13,10 @@
     exactly, with two documented exceptions — non-finite floats
     serialize as JSON [null] and parse back as [0.0] (the JSON layer
     cannot represent them), and unknown fields are ignored on input so
-    old readers survive new writers. Fields added after the first
-    release ([worker_failures], [no_cut_steps], [min_cut_steps]) read
-    as [0] when absent, so old metrics files and checkpoints load. *)
+    old readers survive new writers, and old files carrying a field
+    since removed ([worker_failures]) still load. Fields added after
+    the first release ([no_cut_steps], [min_cut_steps]) read as [0]
+    when absent, so old metrics files and checkpoints load. *)
 
 type t = {
   iter : int;  (** 1-based iteration number *)
@@ -44,10 +45,6 @@ type t = {
   retries : int;  (** supervisor retry rungs executed this iteration *)
   fallbacks : int;  (** supervisor fallback rungs executed this iteration *)
   injected : int;  (** faults injected this iteration *)
-  worker_failures : int;
-      (** isolated-worker failures (crash / timeout / oom / garbage)
-          absorbed by the supervisor this iteration; absent in files
-          written before the worker pool existed and parsed as [0] *)
   bdd_nodes : int;  (** live BDD nodes at iteration end *)
   bdd_peak : int;  (** peak live BDD nodes so far *)
   sat_learned : int;  (** SAT learned clauses added this iteration *)

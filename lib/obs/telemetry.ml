@@ -322,26 +322,6 @@ let detach () =
   close_jsonl ();
   close_trace ()
 
-(* Forked children inherit the sink channels (same fd, same buffered
-   bytes). They must neither flush nor close them — either would
-   corrupt the parent's file — so a child simply forgets the sinks.
-   The descriptors are reclaimed by the child's [Unix._exit]. *)
-let abandon_sinks () =
-  sink := None;
-  trace := None
-
-let trace_complete ?tid ~name ?(args = []) ~start ~dur () =
-  match !trace with
-  | None -> ()
-  | Some (w, epoch) ->
-    Chrome_trace.complete w ~name ~cat:"proc" ?tid ~ts:(start -. epoch) ~dur
-      ~args ()
-
-let trace_thread_name ~tid name =
-  match !trace with
-  | None -> ()
-  | Some (w, _) -> Chrome_trace.thread_name w ~tid name
-
 (* A process-exit backstop so --metrics-out / --trace-out files are
    complete (snapshot flushed, trace array terminated) even when the
    run dies on an uncaught exception or a structured abort path that

@@ -1,20 +1,13 @@
-(** Wire encodings for the circuit-level values that cross the worker
-    pipe: cubes and error traces. Kept here (not in [rfn.circuit]) so
-    the circuit layer stays JSON-free, and kept out of the engines so
-    both ends of the protocol share one definition.
+(** JSON encodings for error traces, shared by the server's result
+    lines and the readers that parse them back. Kept here (not in
+    [rfn.circuit]) so the circuit layer stays JSON-free.
 
-    Decoders are total: any shape violation — wrong arity, a
+    The decoder is total: any shape violation — wrong arity, a
     contradictory cube, a trace breaking the state/input length
-    invariant — yields [None], which callers surface as
-    {!Rfn_failure.Worker_garbage}. Worker output is validated, never
-    trusted. *)
-
-val cube_to_json : Rfn_circuit.Cube.t -> Rfn_obs.Json.t
-(** [[[signal, value], ...]] — pairs of signal id and polarity. *)
-
-val cube_of_json : Rfn_obs.Json.t -> Rfn_circuit.Cube.t option
+    invariant — yields [None]. Input is validated, never trusted. *)
 
 val trace_to_json : Rfn_circuit.Trace.t -> Rfn_obs.Json.t
-(** [{"states": [cube, ...], "inputs": [cube, ...]}]. *)
+(** [{"states": [cube, ...], "inputs": [cube, ...]}], each cube a list
+    [[[signal, value], ...]] of signal id and polarity pairs. *)
 
 val trace_of_json : Rfn_obs.Json.t -> Rfn_circuit.Trace.t option

@@ -257,7 +257,6 @@ let sample_provenance =
     retries = 0;
     fallbacks = 0;
     injected = 0;
-    worker_failures = 1;
     bdd_nodes = 100;
     bdd_peak = 200;
     sat_learned = 0;

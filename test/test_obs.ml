@@ -232,7 +232,6 @@ let sample_record =
     retries = 1;
     fallbacks = 0;
     injected = 0;
-    worker_failures = 0;
     bdd_nodes = 1234;
     bdd_peak = 5678;
     sat_learned = 42;

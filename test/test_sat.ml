@@ -657,14 +657,7 @@ let test_unrolling_encoded_once () =
      iterations that reached Step 3. *)
   let frames_encoded = Rfn_obs.Telemetry.counter "sat.frames_encoded" in
   let run engines circuit prop =
-    (* in-process rungs only: a forked worker's encoding is not
-       counted in this process *)
-    let config =
-      {
-        (quick_config ~engines ()) with
-        Rfn.proc = Rfn_proc.Proc.default_policy;
-      }
-    in
+    let config = quick_config ~engines () in
     let f0 = Rfn_obs.Telemetry.counter_value frames_encoded in
     let outcome, stats = Rfn.verify ~config circuit prop in
     (outcome, stats, Rfn_obs.Telemetry.counter_value frames_encoded - f0)

@@ -66,9 +66,12 @@ let test_spec_parsing () =
       (hook Supervisor.Abstract_mc = None);
     Alcotest.(check bool) "listed site faults" true
       (hook Supervisor.Hybrid_extract = Some Supervisor.Fail));
-  match Supervisor.inject_of_spec "bogus" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown site must be rejected"
+  List.iter
+    (fun spec ->
+      match Supervisor.inject_of_spec spec with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "unknown site %S must be rejected" spec)
+    [ "bogus"; "worker-kill" ]
 
 (* ---- budgeting and escalation unit tests ----------------------------- *)
 
