@@ -344,11 +344,20 @@ let coverage_cmd =
       report.Coverage.total report.Coverage.unreachable
       report.Coverage.reachable report.Coverage.unknown report.Coverage.seconds
       report.Coverage.abstract_regs;
-    Ok 0
+    match report.Coverage.failure with
+    | None -> Ok 0
+    | Some f ->
+      (* an engine stopped the analysis: the counts are sound but
+         partial, an inconclusive answer as for [rfn verify] *)
+      Format.printf "stopped early: %s@." (Rfn_failure.to_string f);
+      Ok 3
   in
   Cmd.v
     (Cmd.info "coverage"
-       ~doc:"Identify unreachable coverage states over a register set.")
+       ~doc:
+         "Identify unreachable coverage states over a register set. Exits \
+          3 when an engine stopped the analysis early: the counts printed \
+          are sound but partial.")
     Term.(
       const run $ netlist_arg $ signals $ budget $ bfs $ bfs_k
       $ metrics_out_arg $ profile_arg $ verbose_arg)

@@ -37,30 +37,38 @@ let deepen query ~max_depth =
   in
   go 1
 
-(* ATPG's one query: [bad] at the last of [frames] frames from the
-   initial states, under [pins]. *)
-let query ~limits circuit ~bad ~frames ~pins =
-  let view = Sview.whole circuit ~roots:[ bad ] in
-  let pins = (frames - 1, bad, true) :: pins in
+(* ATPG's one query: [frames] frames from the initial states under
+   [pins], with [bad] at the last frame when there is a bad signal. A
+   trace that reaches [bad] is replayed before it counts; without one
+   the pins are the whole target and the trace is the answer. *)
+let query ~limits ?bad circuit ~frames ~pins =
+  let view = Sview.whole circuit ~roots:(Option.to_list bad) in
+  let pins =
+    match bad with Some b -> (frames - 1, b, true) :: pins | None -> pins
+  in
   match Atpg.solve ~limits view ~frames ~pins () with
-  | Atpg.Sat t, stats -> (validated circuit ~bad ~frames t, stats)
+  | Atpg.Sat t, stats ->
+    ( (match bad with
+      | Some bad -> validated circuit ~bad ~frames t
+      | None -> Found t),
+      stats )
   | Atpg.Unsat, stats -> (Not_found_here, stats)
   | Atpg.Abort resource, stats -> (Gave_up { resource; frames }, stats)
 
 (* The query as Step 3 and the guidance ablation count it. *)
-let run ~limits circuit ~bad ~frames ~pins =
+let run ~limits ?bad circuit ~frames ~pins =
   Telemetry.incr c_attempts;
   Telemetry.with_span "concretize.atpg"
     ~attrs:[ ("frames", Rfn_obs.Json.Int frames) ]
     (fun () ->
       let ((outcome, stats) as answer) =
-        query ~limits circuit ~bad ~frames ~pins
+        query ~limits ?bad circuit ~frames ~pins
       in
       Telemetry.observe h_backtracks (float_of_int stats.Atpg.backtracks);
       (match outcome with Found _ -> Telemetry.incr c_found | _ -> ());
       answer)
 
-let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
+let guided ?(limits = Atpg.default_limits) ?analysis ?bad circuit
     ~abstract_trace =
   let pins = Trace.pins abstract_trace in
   (* Don't-care pre-filter: the concrete search runs from the initial
@@ -73,17 +81,7 @@ let guided ?(limits = Atpg.default_limits) ?analysis circuit ~bad
     | None -> false
   in
   if doomed then (Not_found_here, { Atpg.decisions = 0; backtracks = 0 })
-  else run ~limits circuit ~bad ~frames:(Trace.length abstract_trace) ~pins
-
-let guided_to_trace ?(limits = Atpg.default_limits) circuit ~abstract_trace =
-  let view = Sview.whole circuit ~roots:[] in
-  let frames = Trace.length abstract_trace in
-  match
-    Atpg.solve ~limits view ~frames ~pins:(Trace.pins abstract_trace) ()
-  with
-  | Atpg.Sat t, stats -> (Found t, stats)
-  | Atpg.Unsat, stats -> (Not_found_here, stats)
-  | Atpg.Abort resource, stats -> (Gave_up { resource; frames }, stats)
+  else run ~limits ?bad circuit ~frames:(Trace.length abstract_trace) ~pins
 
 let unguided ?(limits = Atpg.default_limits) circuit ~bad ~depth =
   run ~limits circuit ~bad ~frames:depth ~pins:[]

@@ -45,25 +45,18 @@ val deepen : (frames:int -> outcome) -> max_depth:int -> outcome
 val guided :
   ?limits:Rfn_atpg.Atpg.limits ->
   ?analysis:Rfn_analysis.Analysis.t ->
+  ?bad:int ->
   Rfn_circuit.Circuit.t ->
-  bad:int ->
   abstract_trace:Rfn_circuit.Trace.t ->
   outcome * Rfn_atpg.Atpg.stats
-(** ATPG's Step-3 query under the abstract trace's pins. [analysis]
-    supplies proven reachable-state invariants as a don't-care filter:
-    a guidance cube pinning registers to a combination that contradicts
-    a proven invariant cannot concretize (every cycle of the concrete
+(** ATPG's Step-3 query under the abstract trace's pins, and [bad] at
+    the last frame, {!validated}. Without [bad] (coverage analysis) the
+    trace is the whole target and nothing replays. [analysis] supplies
+    proven reachable-state invariants as a don't-care filter: a
+    guidance cube pinning registers to a combination that contradicts a
+    proven invariant cannot concretize (every cycle of the concrete
     search is a reachable state), so the query answers [Not_found_here]
     without searching — counted as [analysis.pruned_queries]. *)
-
-val guided_to_trace :
-  ?limits:Rfn_atpg.Atpg.limits ->
-  Rfn_circuit.Circuit.t ->
-  abstract_trace:Rfn_circuit.Trace.t ->
-  outcome * Rfn_atpg.Atpg.stats
-(** Guided search whose target is the abstract trace itself (its final
-    state cube in particular) rather than a bad signal — the form the
-    coverage analysis uses to concretize a path to a coverage state. *)
 
 val unguided :
   ?limits:Rfn_atpg.Atpg.limits ->

@@ -138,132 +138,40 @@ let report_of ?failure sets ~abstract_regs ~iterations ~seconds () =
     failure;
   }
 
+(* The fixpoint runs to closure: the projection of the complete
+   reachable set is what identifies unreachable coverage states (paper,
+   Section 3). A budget that runs out is no failure. *)
 let rfn_analysis ?(config = Rfn.default_config) circuit ~coverage =
   check_coverage circuit coverage;
-  let started = Telemetry.now () in
   let sets = sets_for coverage in
-  let out_of_time () =
-    match config.Rfn.max_seconds with
-    | Some budget -> Telemetry.now () -. started > budget
-    | None -> false
+  let goal =
+    {
+      Rfn.bad = None;
+      target =
+        (fun vm ~fn:_ ->
+          let unknown = unknown_in vm ~coverage sets in
+          (unknown, unknown));
+      settle =
+        Some (fun vm reached -> mark_unreachable vm ~coverage sets reached);
+      reached =
+        (fun t ->
+          if mark_reachable circuit ~coverage sets t then `Again else `Refine);
+      settled = (fun () -> Bdd.is_zero sets.unknown);
+    }
   in
-  (* wall-clock remainder, clamped so Reach.run never sees a negative
-     budget *)
-  let time_left () =
-    match config.Rfn.max_seconds with
-    | None -> None
-    | Some budget ->
-      Some (Float.max 0.0 (budget -. (Telemetry.now () -. started)))
+  let outcome, stats =
+    Rfn.pursue ~config (Rfn.prepare ~config circuit ~roots:coverage) goal
   in
-  let session =
-    Session.create ~node_limit:config.Rfn.node_limit
-      ~policy:config.Rfn.session circuit ~roots:coverage
+  let failure =
+    match outcome with
+    | Rfn.Aborted { F.resource = F.Iterations | F.Time; _ }
+    | Rfn.Proved | Rfn.Falsified _ ->
+      None
+    | Rfn.Aborted f -> Some f
   in
-  let rec iterate iter =
-    let abstraction = Session.abstraction session in
-    let done_ ?failure ?(iterations = iter) last_regs =
-      report_of ?failure sets ~abstract_regs:last_regs ~iterations
-        ~seconds:(Telemetry.now () -. started) ()
-    in
-    let regs_now = Abstraction.num_regs abstraction in
-    if
-      iter > config.Rfn.max_iterations
-      || out_of_time ()
-      || Bdd.is_zero sets.unknown
-    then done_ ~iterations:(iter - 1) regs_now (* [iter] never started *)
-    else
-      match
-        let { Session.vm; img; _ } = Session.prepare session in
-        let init = Symbolic.initial_states vm in
-        let unknown_states = unknown_in vm ~coverage sets in
-        (* The fixpoint runs to closure even after touching unknown
-           states: the projection of the complete reachable set is what
-           identifies unreachable coverage states (paper, Section 3). *)
-        let res =
-          Reach.run ~max_steps:config.Rfn.mc_max_steps ~stop_at_bad:false
-            ?max_seconds:(time_left ()) img ~vm ~init
-            ~bad_states:unknown_states
-        in
-        (vm, res, unknown_states)
-      with
-      | exception Bdd.Limit_exceeded ->
-        done_
-          ~failure:
-            (F.make ~iteration:iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc
-               F.Nodes)
-          regs_now
-      | vm, res, unknown_states -> (
-        (* Chase one abstract-reachable unknown state: extract an
-           abstract error trace at the first ring touching the unknown
-           set, concretize it, and either mark the visited coverage
-           states reachable or refine the model. *)
-        let chase k =
-          match
-            Hybrid.extract ~atpg_limits:config.Rfn.abstract_atpg vm
-              ~rings:res.Reach.rings ~target:unknown_states ~k
-          with
-          | exception Hybrid.Extraction_failed r ->
-            done_
-              ~failure:
-                (F.make ~iteration:iter ~engine:F.Hybrid
-                   ~phase:F.Trace_extraction r)
-              regs_now
-          | exception Bdd.Limit_exceeded ->
-            done_
-              ~failure:
-                (F.make ~iteration:iter ~engine:F.Hybrid
-                   ~phase:F.Trace_extraction F.Nodes)
-              regs_now
-          | hybrid -> (
-            let abstract_trace = hybrid.Hybrid.trace in
-            let refine_and_continue () =
-              let r =
-                Refine.crucial_registers ~atpg_limits:config.Rfn.abstract_atpg
-                  abstraction ~abstract_trace ()
-              in
-              if r.Refine.kept = [] then done_ regs_now
-              else begin
-                ignore (Session.refine session ~add:r.Refine.kept);
-                iterate (iter + 1)
-              end
-            in
-            match
-              Concretize.guided_to_trace ~limits:config.Rfn.concrete_atpg
-                circuit ~abstract_trace
-            with
-            | Concretize.Found t, _ ->
-              if mark_reachable circuit ~coverage sets t then iterate (iter + 1)
-              else refine_and_continue ()
-            | (Concretize.Not_found_here | Concretize.Gave_up _), _ ->
-              refine_and_continue ())
-        in
-        match res.Reach.outcome with
-        | Reach.Proved ->
-          (* Closed fixpoint never touching an unknown state: all of
-             them are unreachable (the abstraction over-approximates). *)
-          sets.unknown <- Bdd.zero sets.side;
-          done_ regs_now
-        | Reach.Closed k ->
-          (* [chase] still targets [unknown_states], the unknown set as
-             it was before this marking *)
-          mark_unreachable vm ~coverage sets res.Reach.reached;
-          chase k
-        | Reach.Reached k -> chase k (* not taken with stop_at_bad:false *)
-        | Reach.Aborted _ -> (
-          (* Partial reach: no unreachability conclusions, but a ring
-             touching the unknown set can still be concretized. *)
-          let man = Varmap.man vm in
-          let hit = ref None in
-          Array.iteri
-            (fun i ring ->
-              if
-                !hit = None
-                && not (Bdd.is_zero (Bdd.dand man ring unknown_states))
-              then hit := Some i)
-            res.Reach.rings;
-          match !hit with Some k -> chase k | None -> done_ regs_now))
-  in
-  iterate 1
+  report_of ?failure sets ~abstract_regs:stats.Rfn.final_abstract_regs
+    ~iterations:(List.length stats.Rfn.provenance)
+    ~seconds:stats.Rfn.seconds ()
 
 (* Registers at BFS distance <= d from the coverage signals through the
    register-dependency graph (r depends on the registers in the

@@ -5,13 +5,12 @@
     coverage signals — as possible that are unreachable on the
     original design.
 
-    {!rfn_analysis} runs the RFN loop with the still-unknown coverage
-    states as the target set: when the abstract fixpoint closes without
-    touching them, every remaining unknown state is unreachable (the
-    abstract model over-approximates); when it reaches some, the
-    abstract trace is concretized and the coverage states visited by
-    the concrete trace are marked reachable, otherwise the model is
-    refined.
+    {!rfn_analysis} is RFN's loop ({!Rfn.pursue}) on a coverage
+    {!Rfn.goal}: the still-unknown states are the target of a fixpoint
+    run to closure, and those outside its projection are unreachable
+    (the abstract model over-approximates); a trace to the rest is
+    concretized, and the coverage states the concrete trace visits are
+    marked reachable, otherwise the model is refined.
 
     {!bfs_analysis} is the baseline of Ho et al. [ICCAD 2000]: take the
     k registers topologically closest to the coverage signals, compute
@@ -35,11 +34,14 @@ type report = {
           this array is built from them once, when the report is. *)
   failure : Rfn_failure.t option;
       (** why the analysis stopped early, when an engine did: a BDD
-          node blow-up, an aborted fixpoint or a failed trace
-          extraction. [None] for a normal completion (including budget
-          exhaustion with states left unknown). The remaining [unknown]
-          counts are sound either way — a failure only means fewer
-          states were classified. *)
+          node blow-up past the supervisor's retries, a fixpoint cut
+          off by its step bound, a failed trace extraction or an empty
+          refinement. [None] for a normal completion, and when the
+          [Iterations] or [Time] budget runs out with states left
+          unknown. A cut-off fixpoint ends the run, as for a property:
+          no trace is chased into its partial rings. The remaining
+          [unknown] counts are sound either way — a failure only means
+          fewer states were classified. *)
 }
 
 val rfn_analysis :

@@ -120,30 +120,40 @@ type engine = {
   recheck : string;  (* re-check rung label *)
   give_up : F.resource;
   concretize : Atpg.limits -> Trace.t list -> Concretize.outcome;
-  falsify : Atpg.limits -> max_depth:int -> Concretize.outcome;
+  falsify : Atpg.limits -> Trace.t -> Concretize.outcome;
+      (* the re-check of an abstract trace refinement could not explain *)
 }
 
-(* [config.engines] as the primary engine and the rest. [analysis] and
-   [unrolling] are what one run's rungs share. *)
-let engines_for ?analysis ~unrolling circuit ~bad selection =
+(* [selection] as the primary engine and the rest; ATPG alone without a
+   bad signal, as a SAT target is one literal. The SAT unrolling is
+   built on first use, so learned clauses carry across iterations; it
+   dies with the run, as the session pool bounds BDD nodes alone. *)
+let engines_for ?analysis ~check circuit ~bad selection =
+  let guided limits abstract_trace =
+    fst (Concretize.guided ~limits ?analysis ?bad circuit ~abstract_trace)
+  in
+  let recheck, falsify =
+    match bad with
+    | None -> ("guided-recheck", guided)
+    | Some bad ->
+      ( "bmc-recheck",
+        fun limits t ->
+          fst
+            (Concretize.falsify ~limits circuit ~bad
+               ~max_depth:(Trace.length t)) )
+  in
   let atpg =
     {
       family = F.Seq_atpg;
       guided = "guided-atpg";
-      recheck = "bmc-recheck";
+      recheck;
       give_up = F.Backtracks;
-      concretize =
-        (fun limits ->
-          Concretize.first_found (fun abstract_trace ->
-              fst
-                (Concretize.guided ~limits ?analysis circuit ~bad
-                   ~abstract_trace)));
-      falsify =
-        (fun limits ~max_depth ->
-          fst (Concretize.falsify ~limits circuit ~bad ~max_depth));
+      concretize = (fun limits -> Concretize.first_found (guided limits));
+      falsify;
     }
   in
-  let sat =
+  let sat bad =
+    let unrolling = lazy (Sat_bmc.unrolling ?analysis ~check circuit ~bad) in
     {
       family = F.Sat;
       guided = "guided-sat";
@@ -151,16 +161,41 @@ let engines_for ?analysis ~unrolling circuit ~bad selection =
       give_up = F.Conflicts;
       concretize =
         (fun limits abstract_traces ->
-          fst (Sat_bmc.concretize ~limits (unrolling ()) ~abstract_traces));
+          fst
+            (Sat_bmc.concretize ~limits (Lazy.force unrolling)
+               ~abstract_traces));
       falsify =
-        (fun limits ~max_depth ->
-          fst (Sat_bmc.falsify ~limits (unrolling ()) ~max_depth));
+        (fun limits t ->
+          fst
+            (Sat_bmc.falsify ~limits (Lazy.force unrolling)
+               ~max_depth:(Trace.length t)));
     }
   in
-  match selection with
-  | Atpg_only -> (atpg, [])
-  | Sat_only -> (sat, [])
-  | Portfolio -> (atpg, [ sat ])
+  match (bad, selection) with
+  | Some bad, Sat_only -> (sat bad, [])
+  | Some bad, Portfolio -> (atpg, [ sat bad ])
+  | _ -> (atpg, [])
+
+(* ---- goals ----------------------------------------------------------- *)
+
+type goal = {
+  bad : int option;
+  target : Varmap.t -> fn:(int -> Bdd.t) -> Bdd.t * Bdd.t;
+  settle : (Varmap.t -> Bdd.t -> unit) option;
+  reached : Trace.t -> [ `Stop | `Again | `Refine ];
+  settled : unit -> bool;
+}
+
+(* Unreachability of one bad signal: the fixpoint stops at the first
+   ring holding a bad state, and a concrete trace is a counterexample. *)
+let property_goal bad =
+  {
+    bad = Some bad;
+    target = (fun vm ~fn -> (Reach.bad_predicate vm ~fn ~bad, fn bad));
+    settle = None;
+    reached = (fun _ -> `Stop);
+    settled = (fun () -> false);
+  }
 
 (* ---- run and iteration state ----------------------------------------- *)
 
@@ -169,16 +204,10 @@ type run = {
   config : config;
   session : Session.t;
   circuit : Circuit.t;
-  bad : int;
+  goal : goal;
   analysis : Analysis.t option;
   sup : Supervisor.t;
-  coi : Coi.t;
-  engines : engine * engine list;
-      (* the rungs, primary first; the SAT entry extends one
-         unrolling per run, built on first use, so the cone is encoded
-         once and learned clauses carry across iterations. It dies with
-         the run — a pooled session keeps none, since the pool bounds
-         memory by BDD nodes alone. *)
+  engines : engine * engine list;  (* the rungs, primary first *)
   checkpoint : Checkpoint.run option;
   started : float;
   resumed_iterations : int;
@@ -252,9 +281,10 @@ let close run cur outcome =
   run.provenance <- p :: run.provenance;
   Telemetry.event "rfn.iteration" (Provenance.to_fields p)
 
-(* What a step hands on: the next step's input, or the run's verdict
-   once the iteration's record is closed. *)
-type 'a step = Next of 'a | Stop of outcome
+(* What a step hands on: the next step's input, the next iteration, or
+   the run's verdict; the last two once the iteration's record is
+   closed. *)
+type 'a step = Next of 'a | Again | Stop of outcome
 
 let stop run cur desc outcome =
   close run cur desc;
@@ -278,12 +308,23 @@ let check run cur ~engine ~phase ~what thunk =
            (F.make ~iteration:cur.iter ~engine ~phase
               (F.Invariant (Rfn_lint.Check.violation_message w fs))))
 
-let check_concrete_trace run cur ~engine t =
-  check run cur ~engine ~phase:F.Concretization ~what:"concrete counterexample"
+(* A concrete trace reached the goal: the goal says whether that ends
+   the run with a counterexample, ends the iteration, or leaves the
+   abstract trace to [otherwise]. *)
+let found run cur ~engine t ~otherwise =
+  check run cur ~engine ~phase:F.Concretization ~what:"concrete trace"
     (fun () ->
       Rfn_lint.Check.trace
         (Sview.whole run.circuit ~roots:[])
-        ~depth:(Trace.length t) t)
+        ~depth:(Trace.length t) t);
+  match run.goal.reached t with
+  | `Stop ->
+    Log.info (fun m -> m "concrete counterexample found");
+    stop run cur "falsified" (Falsified t)
+  | `Again ->
+    close run cur "marked";
+    Again
+  | `Refine -> otherwise ()
 
 let concrete_limits run =
   Supervisor.concrete_limits run.sup run.config.concrete_atpg
@@ -301,7 +342,7 @@ let ladder run ~kind ~label ~query ~as_rung =
         fun () -> as_rung e.give_up (query e (concrete_limits run)) ))
     (primary :: rest)
 
-(* ---- Step 2a: prove, or find the bad states' depth ------------------- *)
+(* ---- Step 2a: prove, or find the target's depth ---------------------- *)
 
 (* Ladder: the session's carried state as-is, then (on a BDD node
    blow-up) a session reset — a rebuild with a fresh FORCE variable
@@ -313,7 +354,7 @@ let abstract_mc run cur =
     match
       let { Session.vm; fn; img } = prep () in
       let init = Symbolic.initial_states vm in
-      let bad_states = Reach.bad_predicate vm ~fn ~bad:run.bad in
+      let bad_states, target = run.goal.target vm ~fn in
       (* Proven invariants as a care set: concretely reachable states
          all satisfy them, so restricting the abstract exploration to
          the invariant region is sound for Proved verdicts (and a
@@ -324,13 +365,14 @@ let abstract_mc run cur =
       in
       let res =
         Reach.run ~max_steps:run.config.mc_max_steps
-          ?max_seconds:(Supervisor.time_left run.sup) ?care img ~vm ~init
+          ?max_seconds:(Supervisor.time_left run.sup)
+          ~stop_at_bad:(run.goal.settle = None) ?care img ~vm ~init
           ~bad_states
       in
-      (vm, fn, res)
+      (vm, fn, res, target)
     with
     | exception Bdd.Limit_exceeded -> Error F.Nodes
-    | (_, _, res) as v -> (
+    | (_, _, res, _) as v -> (
       match res.Reach.outcome with
       | Reach.Aborted r when F.retryable_resource r -> Error r
       | _ -> Ok v)
@@ -363,7 +405,7 @@ let abstract_mc run cur =
   Rfn_obs.Sampler.tick "rfn.abstract_mc";
   match mc with
   | Error failure -> aborted run cur failure
-  | Ok (vm, fn, res) -> (
+  | Ok (vm, fn, res, target) -> (
     check run cur ~engine:F.Bdd_mc ~phase:F.Abstract_mc
       ~what:"abstract-mc artifacts" (fun () ->
         Rfn_lint.Check.varmap vm
@@ -373,25 +415,28 @@ let abstract_mc run cur =
     let failure resource =
       F.make ~iteration:cur.iter ~engine:F.Bdd_mc ~phase:F.Abstract_mc resource
     in
-    match res.Reach.outcome with
-    | Reach.Proved ->
-      Log.info (fun m -> m "property proved on the abstract model");
+    match (res.Reach.outcome, run.goal.settle) with
+    | Reach.Proved, settle ->
+      Log.info (fun m -> m "goal proved on the abstract model");
+      Option.iter (fun f -> f vm res.Reach.reached) settle;
       stop run cur "proved" Proved
-    | Reach.Closed _ ->
-      (* not produced when stop_at_bad is true (the default); an engine
-         invariant slip degrades into a reported abort rather than a
-         crash *)
+    | Reach.Closed k, Some f ->
+      f vm res.Reach.reached;
+      Next (vm, fn, res, k, target)
+    | Reach.Closed _, None ->
+      (* not produced when stop_at_bad is true; an engine invariant
+         slip degrades into a reported abort rather than a crash *)
       stop run cur "aborted:invariant"
         (Aborted
            (failure
               (F.Invariant
                  "reachability closed with a bad intersection despite \
                   stop_at_bad")))
-    | Reach.Aborted r ->
+    | Reach.Aborted r, _ ->
       (* terminal resource (time or step bound) — the ladder does not
          retry those *)
       aborted run cur (failure r)
-    | Reach.Reached k -> Next (vm, fn, res, k))
+    | Reach.Reached k, _ -> Next (vm, fn, res, k, target))
 
 (* ---- Step 2b: extract abstract error traces -------------------------- *)
 
@@ -399,7 +444,7 @@ let abstract_mc run cur =
    the abstract model (no cut, no ATPG cube extension). Hands on the
    first trace (what refinement explains) and every trace (the
    concrete search's guidance). *)
-let extract run cur (vm, fn, res, k) =
+let extract run cur (vm, fn, res, k, target) =
   let attempt ~use_mincut () =
     match
       Hybrid.extract_multi
@@ -408,7 +453,7 @@ let extract run cur (vm, fn, res, k) =
              run.config.abstract_atpg)
         ~use_mincut ~fn
         ~count:(max 1 run.config.guidance_traces)
-        vm ~rings:res.Reach.rings ~target:(fn run.bad) ~k
+        vm ~rings:res.Reach.rings ~target ~k
     with
     | exception Hybrid.Extraction_failed r -> Error r
     | exception Bdd.Limit_exceeded -> Error F.Nodes
@@ -491,10 +536,7 @@ let concretize run cur guidance =
   in
   cur.record <- { cur.record with concretize = desc };
   match concrete with
-  | Ok (Some t) ->
-    check_concrete_trace run cur ~engine t;
-    Log.info (fun m -> m "concrete counterexample found");
-    stop run cur "falsified" (Falsified t)
+  | Ok (Some t) -> found run cur ~engine t ~otherwise:(fun () -> Next ())
   | Ok None -> Next ()
   | Error f ->
     Log.info (fun m ->
@@ -506,8 +548,8 @@ let concretize run cur guidance =
 (* ---- Step 4: refine -------------------------------------------------- *)
 
 (* Ladder: crucial registers, then (on an empty refinement) the
-   highest-fanout pseudo-input, then a BMC re-check at the abstract
-   trace's depth by each engine of the list. *)
+   highest-fanout pseudo-input, then a re-check of the abstract trace
+   by each engine of the list. *)
 let refine run cur abstract_trace =
   let abstraction = cur.abstraction in
   let crucial () =
@@ -516,7 +558,7 @@ let refine run cur abstract_trace =
         ~atpg_limits:
           (Supervisor.clamp_limits run.sup Supervisor.Refine
              run.config.abstract_atpg)
-        ~bad:run.bad abstraction ~abstract_trace ()
+        ?bad:run.goal.bad abstraction ~abstract_trace ()
     in
     if r.Refine.kept = [] then Error F.No_refinement
     else Ok (`Add (r.Refine.kept, List.length r.Refine.candidates))
@@ -534,10 +576,9 @@ let refine run cur abstract_trace =
       in
       Ok (`Add ([ best ], 1 + List.length ps))
   in
-  let max_depth = Trace.length abstract_trace in
   let rechecks =
     ladder run ~kind:Supervisor.Fallback ~label:(fun e -> e.recheck)
-      ~query:(fun e limits -> e.falsify limits ~max_depth)
+      ~query:(fun e limits -> e.falsify limits abstract_trace)
       ~as_rung:(fun give_up -> function
         | Concretize.Found t -> Ok (`Cex t)
         | Concretize.Not_found_here -> Error F.No_refinement
@@ -578,9 +619,11 @@ let refine run cur abstract_trace =
         | Some vm -> Rfn_lint.Check.varmap vm);
     Next ()
   | Ok (`Cex t) ->
-    check_concrete_trace run cur ~engine:F.Seq_atpg t;
-    Log.info (fun m -> m "BMC re-check found a concrete counterexample");
-    stop run cur "falsified" (Falsified t)
+    Log.info (fun m -> m "re-check found a concrete trace");
+    found run cur ~engine:F.Seq_atpg t ~otherwise:(fun () ->
+        aborted run cur
+          (F.make ~iteration:cur.iter ~engine:F.Cegar ~phase:F.Refinement
+             F.No_refinement))
   | Error failure -> aborted run cur failure
 
 (* ---- the loop -------------------------------------------------------- *)
@@ -594,8 +637,8 @@ let finish run outcome =
   ( outcome,
     {
       provenance = List.rev run.provenance;
-      coi_regs = Coi.num_regs run.coi;
-      coi_gates = Coi.num_gates run.coi;
+      coi_regs = 0;
+      coi_gates = 0;
       final_abstract_regs =
         Abstraction.num_regs (Session.abstraction run.session);
       last_abstract_trace = run.last_trace;
@@ -655,14 +698,18 @@ let resume (config : config) session sup ck =
 let rec iterate run iter =
   save_checkpoint run iter;
   let loop_failure r = F.make ~iteration:iter ~engine:F.Cegar ~phase:F.Loop r in
-  if iter > run.config.max_iterations then
+  if run.goal.settled () then finish run Proved
+  else if iter > run.config.max_iterations then
     finish run (Aborted (loop_failure F.Iterations))
   else if Supervisor.out_of_time run.sup then
     finish run (Aborted (loop_failure F.Time))
   else
     let cur = begin_iteration run iter in
     let ( let* ) step next =
-      match step with Stop outcome -> finish run outcome | Next x -> next x
+      match step with
+      | Stop outcome -> finish run outcome
+      | Again -> iterate run (iter + 1)
+      | Next x -> next x
     in
     let* mc = abstract_mc run cur in
     let* trace, guidance = extract run cur mc in
@@ -670,13 +717,10 @@ let rec iterate run iter =
     let* () = refine run cur trace in
     iterate run (iter + 1)
 
-let verify_in_session ?(config = default_config) session prop =
-  let started = Telemetry.now () in
+(* The loop for [goal] on [session] as it stands, [checkpoint] keyed by
+   the caller. *)
+let run_goal ~config ~started ~checkpoint session goal =
   let circuit = Session.circuit session in
-  (* (Re)point the session at this property. On a warm session of the
-     same design, carried cone BDDs the two properties share survive
-     verbatim; a fresh session just initializes its abstraction. *)
-  Session.retarget session ~roots:(Property.roots prop);
   (* Every BDD manager in the process records into [bdd.live_nodes]:
      restart it from this session's own manager, so the provenance
      records' node counts and peak are this run's alone. *)
@@ -686,10 +730,10 @@ let verify_in_session ?(config = default_config) session prop =
     | Some vm -> Bdd.num_nodes (Varmap.man vm));
   (* Static pre-flight: infer and inductively prove reachable-state
      invariants on the concrete netlist, once per session (a warm
-     session reuses the previous property's result — the invariants are
-     facts about the design, not the property). Every consumer below
-     only sees *proved* invariants, so analysis can only prune work,
-     never change a verdict. *)
+     session reuses the previous run's result — the invariants are
+     facts about the design, not the goal). Every consumer below only
+     sees *proved* invariants, so analysis can only prune work, never
+     change a verdict. *)
   let analysis =
     if not config.analyze then None
     else
@@ -706,20 +750,13 @@ let verify_in_session ?(config = default_config) session prop =
               a.Analysis.stats.Analysis.candidates a.Analysis.seconds);
         Some a
   in
+  (* ATPG alone without a bad signal ([engines_for]), and records say so *)
+  let config =
+    if goal.bad = None then { config with engines = Atpg_only } else config
+  in
   let sup =
     Supervisor.start ?inject:config.inject config.supervisor
       ~max_seconds:config.max_seconds
-  in
-  let bad = prop.Property.bad in
-  let coi = Coi.compute circuit ~roots:(Property.roots prop) in
-  let check = config.check_invariants in
-  let unrolling = lazy (Sat_bmc.unrolling ?analysis ~check circuit ~bad) in
-  let checkpoint =
-    Option.map
-      (fun file ->
-        Checkpoint.for_run ~job_id:config.job_id file circuit
-          ~property:prop.Property.name)
-      config.checkpoint
   in
   let start, provenance = resume config session sup checkpoint in
   let run =
@@ -727,14 +764,12 @@ let verify_in_session ?(config = default_config) session prop =
       config;
       session;
       circuit;
-      bad;
+      goal;
       analysis;
       sup;
-      coi;
       engines =
-        engines_for ?analysis
-          ~unrolling:(fun () -> Lazy.force unrolling)
-          circuit ~bad config.engines;
+        engines_for ?analysis ~check:config.check_invariants circuit
+          ~bad:goal.bad config.engines;
       checkpoint;
       started;
       resumed_iterations = start - 1;
@@ -744,6 +779,32 @@ let verify_in_session ?(config = default_config) session prop =
   in
   try iterate run start
   with Check_violation failure -> finish run (Aborted failure)
+
+let pursue ?(config = default_config) session goal =
+  run_goal ~config ~started:(Telemetry.now ()) ~checkpoint:None session goal
+
+let verify_in_session ?(config = default_config) session prop =
+  let started = Telemetry.now () in
+  let circuit = Session.circuit session in
+  let roots = Property.roots prop in
+  (* (Re)point the session at this property. On a warm session of the
+     same design, carried cone BDDs the two properties share survive
+     verbatim; a fresh session just initializes its abstraction. *)
+  Session.retarget session ~roots;
+  let checkpoint =
+    Option.map
+      (fun file ->
+        Checkpoint.for_run ~job_id:config.job_id file circuit
+          ~property:prop.Property.name)
+      config.checkpoint
+  in
+  let outcome, stats =
+    run_goal ~config ~started ~checkpoint session
+      (property_goal prop.Property.bad)
+  in
+  let coi = Coi.compute circuit ~roots in
+  ( outcome,
+    { stats with coi_regs = Coi.num_regs coi; coi_gates = Coi.num_gates coi } )
 
 let verify ?(config = default_config) circuit prop =
   let session = prepare ~config circuit ~roots:(Property.roots prop) in

@@ -16,15 +16,18 @@
     resource limit is exceeded. Symbolic image computation is never
     performed on the original design.
 
+    The loop pursues a {!goal}: a bad signal ({!verify_in_session}) or
+    the still-unknown coverage states ({!Coverage.rfn_analysis}).
+
     Every engine invocation runs under the {!Supervisor}: a BDD node
     blow-up retries the fixpoint with a fresh variable order and then a
     grown node budget, a min-cut extraction failure falls back to pure
     pre-image, a concretization give-up escalates the ATPG backtrack
     budget for later iterations, and an empty refinement falls back to
-    the highest-fanout pseudo-input and finally a BMC re-check. The
-    Step-3 ladder and the re-check rungs are both built from one engine
-    table ({!engines}), each engine answering the one query of
-    {!Concretize} in this process. Failures that survive the ladders
+    the highest-fanout pseudo-input and finally a re-check. The Step-3
+    ladder and the re-check rungs are both built from one engine table
+    ({!engines}), each engine answering the one query of {!Concretize}
+    in this process. Failures that survive the ladders
     surface as [Aborted] with a structured {!Rfn_failure.t}. Each
     iteration leaves one {!Rfn_obs.Provenance.t} record. *)
 
@@ -132,6 +135,7 @@ type stats = {
           loop emits as ["rfn.iteration"] telemetry events *)
   coi_regs : int;
   coi_gates : int;
+      (** the property's cone of influence; 0 after {!pursue} *)
   final_abstract_regs : int;
   last_abstract_trace : Rfn_circuit.Trace.t option;
       (** the abstract error trace of the last iteration that produced
@@ -152,6 +156,28 @@ type outcome =
           which iteration, after how many recovery attempts — render
           with {!Rfn_failure.to_string} *)
 
+type goal = {
+  bad : int option;
+      (** pinned by Step 3 and refinement; the re-check falsifies it.
+          Without one: ATPG only, whatever [config.engines] says, and
+          the re-check is the guided query on the abstract trace *)
+  target :
+    Rfn_mc.Varmap.t ->
+    fn:(int -> Rfn_bdd.Bdd.t) ->
+    Rfn_bdd.Bdd.t * Rfn_bdd.Bdd.t;
+      (** the states the fixpoint looks for, and extraction's target *)
+  settle : (Rfn_mc.Varmap.t -> Rfn_bdd.Bdd.t -> unit) option;
+      (** [Some f]: the fixpoint runs to closure and [f] gets the
+          reached set; extraction still targets [target]'s set *)
+  reached : Rfn_circuit.Trace.t -> [ `Stop | `Again | `Refine ];
+      (** on a concrete trace: [`Stop] ends the run [Falsified];
+          [`Again] ends the iteration (outcome ["marked"]) unrefined;
+          [`Refine] refines, or after the re-check ends the run with
+          [No_refinement] *)
+  settled : unit -> bool;
+      (** asked before each iteration: [true] ends the run [Proved] *)
+}
+
 val prepare :
   ?config:config -> Rfn_circuit.Circuit.t -> roots:int list -> Session.t
 (** A persistent session for [circuit], sized by the config's
@@ -171,6 +197,10 @@ val verify_in_session :
     initial abstraction are reused verbatim, which is how the serve
     layer amortizes compilation across a batch. Verdicts never depend
     on session temperature — only the work to reach them does. *)
+
+val pursue : ?config:config -> Session.t -> goal -> outcome * stats
+(** The loop for [goal] on [session] as it stands: {!verify_in_session}
+    without the retargeting and checkpoints. *)
 
 val verify :
   ?config:config ->

@@ -51,7 +51,8 @@ type t = {
   backtracks : int;  (** concrete ATPG backtracks this iteration *)
   seconds : float;  (** wall-clock seconds spent in the iteration *)
   outcome : string;
-      (** "refined" | "proved" | "falsified" | "aborted:<resource>" *)
+      (** "refined" | "marked" (a concrete trace decided coverage states)
+          | "proved" | "falsified" | "aborted:<resource>" *)
 }
 
 val to_json : t -> Json.t

@@ -3,6 +3,7 @@
 open Rfn_circuit
 module Coverage = Rfn_core.Coverage
 module Rfn = Rfn_core.Rfn
+module Supervisor = Rfn_core.Supervisor
 module B = Circuit.Builder
 
 (* A valuation's coverage-state code: bit i is the i-th signal. *)
@@ -72,6 +73,44 @@ let test_ring_exact () =
           true (Hashtbl.mem exact code)
       | Coverage.Unknown -> ())
     report.Coverage.status
+
+(* A fault forced once at each supervised site leaves the ring's answer
+   exact. The concretization fault turns a trace that concretizes into
+   a give-up, which sends it to refinement; the ring's model has no
+   pseudo-input to add, so only the guided re-check of that trace can
+   mark it. The ring refines only after such a give-up, so the
+   refinement fault rides along with one. *)
+let test_ring_under_faults () =
+  let c, coverage = ring_design () in
+  List.iter
+    (fun spec ->
+      let hook =
+        match Supervisor.inject_of_spec spec with
+        | Some hook -> hook
+        | None -> Alcotest.fail ("no hook for " ^ spec)
+      in
+      let faults = ref 0 in
+      let inject site =
+        let fault = hook site in
+        if fault <> None then incr faults;
+        fault
+      in
+      let report =
+        Coverage.rfn_analysis
+          ~config:{ (config 20.0) with Rfn.inject = Some inject }
+          c ~coverage
+      in
+      Alcotest.(check int)
+        (spec ^ ": every fault injected")
+        (List.length (String.split_on_char ',' spec))
+        !faults;
+      Alcotest.(check int)
+        (spec ^ ": five unreachable")
+        5 report.Coverage.unreachable;
+      Alcotest.(check int)
+        (spec ^ ": nothing unknown")
+        0 report.Coverage.unknown)
+    [ "abstract-mc"; "hybrid"; "concretize"; "concretize,refine" ]
 
 let test_bfs_ring () =
   let c, coverage = ring_design () in
@@ -203,6 +242,8 @@ let test_iteration_cap () =
 let tests =
   [
     Alcotest.test_case "one-hot ring, exact" `Quick test_ring_exact;
+    Alcotest.test_case "one-hot ring under faults" `Quick
+      test_ring_under_faults;
     Alcotest.test_case "bfs on the ring" `Quick test_bfs_ring;
     coverage_sound_random;
     bfs_sound_random;

@@ -398,6 +398,61 @@ let test_verify_emits_provenance () =
       end)
     streamed
 
+(* Coverage analysis runs RFN's loop: a capped USB1 run leaves one
+   record per iteration and times the loop's steps under their spans. *)
+let test_coverage_emits_provenance () =
+  with_clean_registry @@ fun () ->
+  let file = tmp_file ".jsonl" in
+  Telemetry.attach_jsonl file;
+  let usb = Rfn_designs.Usb.make () in
+  let coverage =
+    Option.value ~default:[]
+      (List.assoc_opt "USB1" usb.Rfn_designs.Usb.coverage_sets)
+  in
+  let config =
+    {
+      Rfn.default_config with
+      Rfn.max_iterations = 3;
+      node_limit = 500_000;
+      mc_max_steps = 500;
+    }
+  in
+  let report =
+    Rfn_core.Coverage.rfn_analysis ~config usb.Rfn_designs.Usb.circuit
+      ~coverage
+  in
+  let calls span =
+    match Telemetry.span_stats span with Some (n, _) -> n | None -> 0
+  in
+  let steps =
+    List.map
+      (fun span -> (span, calls span))
+      [ "rfn.abstract_mc"; "rfn.hybrid"; "rfn.concretize" ]
+  in
+  Telemetry.detach ();
+  let iters =
+    List.filter_map
+      (fun l ->
+        let j = Json.of_string l in
+        match Json.member "ev" j with
+        | Some (Json.Str "rfn.iteration") -> (
+          match Provenance.of_json j with
+          | Ok p -> Some p.Provenance.iter
+          | Error f -> Alcotest.fail ("unparseable rfn.iteration: " ^ f))
+        | _ -> None)
+      (read_lines file)
+  in
+  Sys.remove file;
+  Alcotest.(check (list int)) "one record per iteration" [ 1; 2; 3 ] iters;
+  List.iter
+    (fun (span, n) ->
+      Alcotest.(check bool) (span ^ " ran") true (n >= 1))
+    steps;
+  Alcotest.(check int) "report counts the iterations" 3
+    report.Rfn_core.Coverage.iterations;
+  Alcotest.(check bool) "a capped run is no failure" true
+    (report.Rfn_core.Coverage.failure = None)
+
 let tests =
   [
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
@@ -419,6 +474,8 @@ let tests =
       test_sampler_disabled_is_silent;
     Alcotest.test_case "verify streams one record per iteration" `Quick
       test_verify_emits_provenance;
+    Alcotest.test_case "coverage streams one record per iteration" `Quick
+      test_coverage_emits_provenance;
   ]
 
 let () = Alcotest.run "obs" [ ("obs", tests) ]
