@@ -131,6 +131,8 @@ let nvar m i =
 let op_and = 0
 let op_not = 1
 let op_ite = 2
+let op_or = 3
+let op_diff = 4
 
 let rec dnot m f =
   if f = f0 then f1
@@ -191,9 +193,45 @@ let rec ite m f g h =
       Hashtbl.add m.cache key r;
       r
 
-let dor m a b = dnot m (dand m (dnot m a) (dnot m b))
+let rec dor m a b =
+  if a = b then a
+  else if a = f1 || b = f1 then f1
+  else if a = f0 then b
+  else if b = f0 then a
+  else
+    let x = min a b and y = max a b in
+    let key = (op_or, x, y, 0) in
+    match Hashtbl.find_opt m.cache key with
+    | Some r ->
+      Telemetry.incr c_hit;
+      r
+    | None ->
+      Telemetry.incr c_miss;
+      let v = min (vr m a) (vr m b) in
+      let a0, a1 = cofactors m v a and b0, b1 = cofactors m v b in
+      let r = mk m v (dor m a0 b0) (dor m a1 b1) in
+      Hashtbl.add m.cache key r;
+      r
+
+let rec diff m a b =
+  if a = b || a = f0 || b = f1 then f0
+  else if b = f0 then a
+  else if a = f1 then dnot m b
+  else
+    let key = (op_diff, a, b, 0) in
+    match Hashtbl.find_opt m.cache key with
+    | Some r ->
+      Telemetry.incr c_hit;
+      r
+    | None ->
+      Telemetry.incr c_miss;
+      let v = min (vr m a) (vr m b) in
+      let a0, a1 = cofactors m v a and b0, b1 = cofactors m v b in
+      let r = mk m v (diff m a0 b0) (diff m a1 b1) in
+      Hashtbl.add m.cache key r;
+      r
+
 let dxor m a b = ite m a (dnot m b) b
-let diff m a b = dand m a (dnot m b)
 
 let varset_of m vars =
   let set = Array.make m.nvars false in
@@ -425,6 +463,8 @@ let unprotect m f =
     | None -> ()
     | Some n when n <= 1 -> Hashtbl.remove m.protected f
     | Some n -> Hashtbl.replace m.protected f (n - 1)
+
+let protected m = Hashtbl.fold (fun f n acc -> (f, n) :: acc) m.protected []
 
 let gc m ~roots =
   Telemetry.incr c_gc;

@@ -58,6 +58,10 @@ val unprotect : man -> t -> unit
     protected). The node itself stays valid until the next {!gc} that
     cannot reach it. *)
 
+val protected : man -> (t * int) list
+(** Every protected handle with its protection count, in no particular
+    order. *)
+
 val gc : man -> roots:t list -> unit
 (** Free every node not reachable from [roots], the protected set, or
     a terminal. Also clears the operation caches. *)
@@ -79,7 +83,11 @@ val low : man -> t -> t
 val high : man -> t -> t
 val is_terminal : t -> bool
 
-(* Boolean connectives. *)
+(* Boolean connectives. [dand], [dor] and [diff] each run their own
+   Shannon recursion with a cache tag of its own ([dand] and [dor]
+   keyed on the unordered pair), so a disjunction — the inner step of
+   {!exists} and {!and_exists} — builds no negated copies. Without
+   complement edges [dnot] still copies its argument. *)
 val dnot : man -> t -> t
 val dand : man -> t -> t -> t
 val dor : man -> t -> t -> t

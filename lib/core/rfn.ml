@@ -226,6 +226,14 @@ let attributed =
 let snapshot () = Array.map Telemetry.counter_value attributed
 let g_bdd_nodes = Telemetry.gauge "bdd.live_nodes"
 
+(* Live nodes of the session's own manager. The [bdd.live_nodes] gauge
+   is whichever manager allocated last — coverage's small side manager
+   among them — so it only serves for the peak. *)
+let session_nodes run =
+  match Session.varmap run.session with
+  | None -> 0
+  | Some vm -> Bdd.num_nodes (Varmap.man vm)
+
 (* One iteration in flight; the steps fill in its provenance record. *)
 type current = {
   iter : int;
@@ -261,9 +269,10 @@ let begin_iteration run iter =
   }
 
 (* Close the iteration's record with [outcome]: fill in the counter
-   deltas, BDD gauges and time, keep it, and emit it as an
-   ["rfn.iteration"] event. *)
-let close run cur outcome =
+   deltas, BDD node counts and time, keep it, and emit it as an
+   ["rfn.iteration"] event. [nodes] defaults to the session's live
+   count now. *)
+let close ?nodes run cur outcome =
   let d =
     Array.map2 (fun c v -> Telemetry.counter_value c - v) attributed cur.mark
   in
@@ -272,7 +281,8 @@ let close run cur outcome =
       cur.record with
       retries = d.(0); fallbacks = d.(1); injected = d.(2);
       sat_learned = d.(3); backtracks = d.(4);
-      bdd_nodes = Telemetry.gauge_value g_bdd_nodes;
+      bdd_nodes =
+        (match nodes with Some n -> n | None -> session_nodes run);
       bdd_peak = Telemetry.gauge_peak g_bdd_nodes;
       seconds = Telemetry.now () -. cur.iter_started;
       outcome;
@@ -598,6 +608,9 @@ let refine run cur abstract_trace =
     Log.info (fun m ->
         m "refining with %d register(s) (%d candidates)" (List.length regs)
           candidates);
+    (* counted first: in reference mode refinement moves the session
+       to a fresh, empty manager *)
+    let nodes = session_nodes run in
     let delta = Session.refine run.session ~add:regs in
     Log.debug (fun m ->
         m "delta: %d promoted, %d fresh, %d new signals"
@@ -611,7 +624,7 @@ let refine run cur abstract_trace =
         promoted = List.map (Circuit.name run.circuit) regs;
         regs_after = Abstraction.num_regs (Session.abstraction run.session);
       };
-    close run cur "refined";
+    close ~nodes run cur "refined";
     check run cur ~engine:F.Cegar ~phase:F.Refinement
       ~what:"post-refine varmap" (fun () ->
         match Session.varmap run.session with
@@ -723,7 +736,7 @@ let run_goal ~config ~started ~checkpoint session goal =
   let circuit = Session.circuit session in
   (* Every BDD manager in the process records into [bdd.live_nodes]:
      restart it from this session's own manager, so the provenance
-     records' node counts and peak are this run's alone. *)
+     records' peak is this run's alone. *)
   Telemetry.rebase g_bdd_nodes
     (match Session.varmap session with
     | None -> 0

@@ -81,6 +81,7 @@ let circuit t = t.abstraction.Abstraction.circuit
 let policy t = t.policy
 let varmap t = t.vm
 let cone_signals t = Hashtbl.fold (fun s _ acc -> s :: acc) t.memo []
+let cache t = t.cache
 
 (* Drop every per-manager structure. The old manager (if any) is
    released wholesale, so nothing needs unprotecting. *)

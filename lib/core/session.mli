@@ -108,6 +108,12 @@ val cone_signals : t -> int list
     [Rfn_lint.Check.cone_cache] input). Total over the view's inside
     set right after {!prepare}. *)
 
+val cache : t -> Rfn_mc.Image.cache
+(** The session's cluster cache. Right after {!prepare}, the session's
+    manager protects exactly its cones ({!cone_signals}), these
+    clusters and the quantified copies, which are tagged with that
+    manager. *)
+
 val prepare : t -> prepared
 (** Make the symbolic state match the current abstraction: compile the
     missing cones, re-cluster the dirty suffix of the relation, apply

@@ -7,7 +7,7 @@ let h_step = Telemetry.histogram "mc.image_seconds"
 
 type t = {
   vm : Varmap.t;
-  clusters : Bdd.t array;
+  clusters : Bdd.t array;  (* cluster-local inputs already quantified *)
   schedule : int list array;
       (* schedule.(0): quantified before any cluster;
          schedule.(i+1): quantified together with cluster i *)
@@ -16,15 +16,25 @@ type t = {
 type cache = {
   mutable entries : (int * int * Bdd.t) array;
   mutable clusters : Bdd.t array;
+  mutable quantified : (Bdd.man * Bdd.t array) option;
 }
 
 type build_stats = { clusters_reused : int; clusters_rebuilt : int }
 
-let cache () = { entries = [||]; clusters = [||] }
+let cache () = { entries = [||]; clusters = [||]; quantified = None }
+
+(* The quantified copies are released in the manager that protected
+   them, whichever manager the caller has moved on to. *)
+let release_quantified c =
+  Option.iter
+    (fun (man, qs) -> Array.iter (Bdd.unprotect man) qs)
+    c.quantified;
+  c.quantified <- None
 
 let clear_cache c =
   c.entries <- [||];
-  c.clusters <- [||]
+  c.clusters <- [||];
+  release_quantified c
 
 let build ?(cluster_size = 5000) ~fn ~cache vm =
   let view = Varmap.view vm in
@@ -92,9 +102,12 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
   let clusters = Array.of_list (reused_clusters @ new_clusters) in
   cache.entries <- entries;
   cache.clusters <- clusters;
-  (* Last cluster mentioning each quantifiable variable. The schedule
-     is recomputed from scratch on every build: it is cheap (support
-     scans) and must cover variables appended since the last one. *)
+  release_quantified cache;
+  (* Last cluster mentioning each quantifiable variable, and how many
+     clusters mention it. The schedule is recomputed from scratch on
+     every build: it is cheap (support scans) and must cover variables
+     appended since the last one — and refinement can make a local
+     input shared, or turn it into a [Cur] variable. *)
   let quantifiable v =
     match Varmap.role vm v with
     | Varmap.Cur _ | Varmap.Inp _ -> true
@@ -105,18 +118,37 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
   Array.iteri
     (fun i c ->
       List.iter
-        (fun v -> if quantifiable v then Hashtbl.replace last v i)
+        (fun v ->
+          if quantifiable v then
+            let n =
+              match Hashtbl.find_opt last v with Some (_, n) -> n | None -> 0
+            in
+            Hashtbl.replace last v (i, n + 1))
         (Bdd.support man c))
     clusters;
+  (* An input that only cluster i reads is quantified out of cluster i
+     here, once per build: the state set an image starts from never
+     mentions an input, so [post] need not see it. *)
   let schedule = Array.make (Array.length clusters + 1) [] in
-  List.iter
-    (fun v ->
-      let slot =
-        match Hashtbl.find_opt last v with Some i -> i + 1 | None -> 0
-      in
-      schedule.(slot) <- v :: schedule.(slot))
-    (Varmap.cur_vars vm @ Varmap.inp_vars vm);
-  ( { vm; clusters; schedule },
+  let local = Array.make (Array.length clusters) [] in
+  let place ~input v =
+    match Hashtbl.find_opt last v with
+    | Some (i, 1) when input -> local.(i) <- v :: local.(i)
+    | Some (i, _) -> schedule.(i + 1) <- v :: schedule.(i + 1)
+    | None -> schedule.(0) <- v :: schedule.(0)
+  in
+  List.iter (place ~input:false) (Varmap.cur_vars vm);
+  List.iter (place ~input:true) (Varmap.inp_vars vm);
+  let quantified =
+    Array.mapi
+      (fun i c -> if local.(i) = [] then c else Bdd.exists man local.(i) c)
+      clusters
+  in
+  (* protected only once all are built: no collection runs in between,
+     and a [Limit_exceeded] above leaves no protection behind *)
+  Array.iter (fun q -> ignore (Bdd.protect man q)) quantified;
+  cache.quantified <- Some (man, quantified);
+  ( { vm; clusters = quantified; schedule },
     {
       clusters_reused = List.length reused_clusters;
       clusters_rebuilt = List.length new_clusters;

@@ -6,7 +6,9 @@
     variable to the last cluster whose support mentions it, so
     variables are quantified out as early as possible — the reason the
     paper's forward fixpoint tolerates abstract models with thousands
-    of (pseudo-)inputs. *)
+    of (pseudo-)inputs. An input variable that only one cluster
+    mentions leaves the schedule altogether: {!build} quantifies it out
+    of that cluster once, so no image pays for it again. *)
 
 type t
 
@@ -14,11 +16,20 @@ type cache = {
   mutable entries : (int * int * Rfn_bdd.Bdd.t) array;
       (** per-register sources of the cached clusters, sorted by
           next-state variable: (register, next-state variable, cone) *)
-  mutable clusters : Rfn_bdd.Bdd.t array;  (** protected in the manager *)
+  mutable clusters : Rfn_bdd.Bdd.t array;
+      (** protected in the manager; cluster-local inputs {e not}
+          quantified, since a later refinement can make such an input
+          shared, or promote it to a [Cur] variable *)
+  mutable quantified : (Rfn_bdd.Bdd.man * Rfn_bdd.Bdd.t array) option;
+      (** the last build's clusters with their local inputs quantified
+          out, protected in the manager they are tagged with; released
+          there by the next {!build} and by {!clear_cache}, so a caller
+          that switched managers never unprotects them in the wrong
+          one *)
 }
 (** Compiled-relation cache carried across refinement iterations by a
-    verification session. Fields are exposed so the session layer can
-    translate handles after a reordering hand-off. *)
+    verification session. [entries] and [clusters] are exposed so the
+    session layer can translate handles after a reordering hand-off. *)
 
 type build_stats = { clusters_reused : int; clusters_rebuilt : int }
 
@@ -26,9 +37,10 @@ val cache : unit -> cache
 (** A fresh, empty cache. *)
 
 val clear_cache : cache -> unit
-(** Forget the cached relation {e without} unprotecting anything — for
-    manager switches (reset, replica), where the old handles are
-    meaningless in the new manager. *)
+(** Forget the cached relation {e without} unprotecting its clusters —
+    for manager switches (reset, replica), where the old handles are
+    meaningless in the new manager. The quantified copies are
+    unprotected in their own tagged manager. *)
 
 val build :
   ?cluster_size:int ->
@@ -42,8 +54,10 @@ val build :
     {!Varmap.grow}, since appended next-state variables sort after
     every carried one and carried cones keep their handles. On any
     mismatch the whole cache is rebuilt (old clusters unprotected).
-    The quantification schedule is recomputed either way. Updates the
-    cache in place. May raise [Rfn_bdd.Bdd.Limit_exceeded]. *)
+    The quantification schedule and the quantified copies (one
+    [exists] per cluster with local inputs) are recomputed either way.
+    Updates the cache in place. May raise
+    [Rfn_bdd.Bdd.Limit_exceeded]. *)
 
 val make : ?cluster_size:int -> Varmap.t -> t
 (** Build the clustered relation for the varmap's view from scratch
@@ -52,7 +66,8 @@ val make : ?cluster_size:int -> Varmap.t -> t
 
 val post : t -> Rfn_bdd.Bdd.t -> Rfn_bdd.Bdd.t
 (** [post t q]: states reachable in one step from [q] (both over
-    current-state variables). *)
+    current-state variables; [q] must not mention an input variable,
+    because the cluster-local ones were quantified out at build). *)
 
 val pre_via_compose :
   Varmap.t -> fn:(int -> Rfn_bdd.Bdd.t) -> Rfn_bdd.Bdd.t -> Rfn_bdd.Bdd.t

@@ -176,7 +176,18 @@ let pp_story ppf records =
     List.iter (fun p -> Format.fprintf ppf "%a@." pp p) records;
     let last = List.fold_left (fun _ p -> p) first rest in
     let total = List.fold_left (fun a p -> a +. p.seconds) 0.0 records in
-    Format.fprintf ppf "verdict after %d iteration%s (%.3fs): %s@."
-      (List.length records)
-      (if List.length records = 1 then "" else "s")
-      total last.outcome
+    let n = List.length records in
+    let iterations = if n = 1 then "iteration" else "iterations" in
+    (* a run stopped by its goal or a budget at the top of the loop
+       closes no record of its own: the last one is not a verdict *)
+    let verdict =
+      last.outcome = "proved" || last.outcome = "falsified"
+      || String.starts_with ~prefix:"aborted:" last.outcome
+    in
+    if verdict then
+      Format.fprintf ppf "verdict after %d %s (%.3fs): %s@." n iterations
+        total last.outcome
+    else
+      Format.fprintf ppf
+        "stopped after %d %s (%.3fs) without a verdict; last iteration: %s@."
+        n iterations total last.outcome

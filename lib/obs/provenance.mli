@@ -67,5 +67,9 @@ val of_json : Json.t -> (t, string) result
 
 val pp_story : Format.formatter -> t list -> unit
 (** The whole run: one narrative line per record (e.g. ["iteration 3:
-    model 5 regs / 12 inputs; fixpoint 14 steps; ..."]) plus a closing verdict
-    line derived from the last record's [outcome]. *)
+    model 5 regs / 12 inputs; fixpoint 14 steps; ..."]) plus a closing
+    line: the verdict when the last record's [outcome] is one
+    (["proved"], ["falsified"], ["aborted:..."]), otherwise that the
+    run stopped without one and what its last iteration did — a run
+    ended by its goal or a budget at the top of the loop closes no
+    record of its own. *)

@@ -264,3 +264,64 @@ let sample_provenance =
     seconds = 0.5;
     outcome = "refined";
   }
+
+(* ------------------------------------------------------------------ *)
+(* Reference image                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The post-image with no partitioning and no schedule: conjoin every
+   register's bit relation and [q], quantify every current-state and
+   input variable at once, rename next to current. [Image.post] must
+   return the same handle. *)
+let unscheduled_post vm ~fn q =
+  let module Bdd = Rfn_bdd.Bdd in
+  let module Varmap = Rfn_mc.Varmap in
+  let man = Varmap.man vm in
+  let view = Varmap.view vm in
+  let relation =
+    Array.fold_left
+      (fun acc r ->
+        match Circuit.node view.Sview.circuit r with
+        | Circuit.Reg { next; _ } ->
+          let bit =
+            Bdd.dnot man
+              (Bdd.dxor man (Bdd.var man (Varmap.nxt_var vm r)) (fn next))
+          in
+          Bdd.dand man acc bit
+        | _ -> invalid_arg "unscheduled_post: not a register")
+      (Bdd.one man) view.Sview.regs
+  in
+  Varmap.rename_next_to_cur vm
+    (Bdd.exists man
+       (Varmap.cur_vars vm @ Varmap.inp_vars vm)
+       (Bdd.dand man q relation))
+
+(* A few source sets over the view's current-state variables: nothing,
+   everything, the initial states, each single state bit and its
+   negation. *)
+let image_sources vm =
+  let module Bdd = Rfn_bdd.Bdd in
+  let module Varmap = Rfn_mc.Varmap in
+  let man = Varmap.man vm in
+  let bits =
+    List.concat_map
+      (fun v -> [ Bdd.var man v; Bdd.nvar man v ])
+      (Varmap.cur_vars vm)
+  in
+  Bdd.zero man :: Bdd.one man :: Rfn_mc.Symbolic.initial_states vm :: bits
+
+(* A manager's protected handles, one entry per protection count, and
+   a list of handles in the same sorted form; terminals are never
+   protected, so they are left out. *)
+let protected_handles man =
+  List.sort compare
+    (List.concat_map
+       (fun (f, n) -> List.init n (fun _ -> (f : Rfn_bdd.Bdd.t :> int)))
+       (Rfn_bdd.Bdd.protected man))
+
+let handles l =
+  List.sort compare
+    (List.filter_map
+       (fun (f : Rfn_bdd.Bdd.t) ->
+         if (f :> int) > 1 then Some (f :> int) else None)
+       l)

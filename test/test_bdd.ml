@@ -116,6 +116,77 @@ let and_exists_test =
          let direct = Bdd.exists man [ 1; 2; 5 ] (Bdd.dand man a b) in
          Bdd.equal (Bdd.and_exists man [ 1; 2; 5 ] a b) direct))
 
+(* Operand pairs for the binary kernels: random pairs, plus the cases
+   their terminal rules short-circuit — equal operands and a constant
+   on either side. *)
+let operand_pair =
+  let open QCheck.Gen in
+  let e = expr_gen nvars in
+  let pairs =
+    frequency
+      [
+        (4, pair e e);
+        (1, map (fun a -> (a, a)) e);
+        (1, map2 (fun a b -> (a, Const b)) e bool);
+        (1, map2 (fun b a -> (Const b, a)) bool e);
+      ]
+  in
+  QCheck.make pairs ~print:(fun (a, b) -> pp_expr a ^ " , " ^ pp_expr b)
+
+(* [dor] and [diff] run their own recursions; they must return the very
+   handle the negation forms they replaced return. *)
+let or_diff_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"dor/diff = their negation forms"
+       operand_pair (fun (ea, eb) ->
+         let man = Bdd.create ~nvars () in
+         let a = build_bdd man ea and b = build_bdd man eb in
+         let n = Bdd.dnot man in
+         let dor = Bdd.dor man a b and diff = Bdd.diff man a b in
+         Bdd.equal dor (n (Bdd.dand man (n a) (n b)))
+         && Bdd.equal dor (Bdd.dor man b a)
+         && Bdd.equal diff (Bdd.dand man a (n b))
+         && all_envs (fun env ->
+                let va = eval_expr env ea and vb = eval_expr env eb in
+                Bdd.eval man dor env = (va || vb)
+                && Bdd.eval man diff env = (va && not vb))))
+
+(* Both quantifiers against the truth table, over a random variable
+   set: their inner disjunction is the native [dor]. *)
+let quantify_truth_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"exists/and_exists = truth table on random variable sets"
+       QCheck.(
+         triple arbitrary_expr arbitrary_expr (int_bound ((1 lsl nvars) - 1)))
+       (fun (ea, eb, mask) ->
+         let man = Bdd.create ~nvars () in
+         let a = build_bdd man ea and b = build_bdd man eb in
+         let vars =
+           List.filter
+             (fun i -> mask land (1 lsl i) <> 0)
+             (List.init nvars Fun.id)
+         in
+         let ex = Bdd.exists man vars a and ae = Bdd.and_exists man vars a b in
+         (* some assignment of [vars] that agrees with [env] elsewhere *)
+         let some env p =
+           let free = List.length vars in
+           let rec go k =
+             k < 1 lsl free
+             && (p (fun i ->
+                     match List.find_index (( = ) i) vars with
+                     | Some j -> k land (1 lsl j) <> 0
+                     | None -> env i)
+                || go (k + 1))
+           in
+           go 0
+         in
+         all_envs (fun env ->
+             Bdd.eval man ex env = some env (fun env' -> eval_expr env' ea)
+             && Bdd.eval man ae env
+                = some env (fun env' ->
+                      eval_expr env' ea && eval_expr env' eb))))
+
 let compose_test =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"vector compose substitutes"
@@ -305,6 +376,8 @@ let tests =
     reduction_test;
     exists_test;
     and_exists_test;
+    or_diff_test;
+    quantify_truth_test;
     compose_test;
     rename_test;
     rename_monotone_test;

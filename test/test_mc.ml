@@ -195,6 +195,168 @@ let image_agrees =
          done;
          !ok))
 
+(* Build with [cache], collect all but the sources and their
+   unscheduled images, then compare [Image.post] on every source. *)
+let post_agrees ~cluster_size ~cache vm =
+  let man = Varmap.man vm in
+  let fn = Symbolic.functions vm in
+  let img, _ = Image.build ~cluster_size ~fn ~cache vm in
+  let sources = Helpers.image_sources vm in
+  let expected = List.map (Helpers.unscheduled_post vm ~fn) sources in
+  Bdd.gc man ~roots:(sources @ expected);
+  List.for_all2 (fun q e -> Bdd.equal (Image.post img q) e) sources expected
+
+(* Image.post against the unscheduled image on random abstractions,
+   through in-place refinements that share one cluster cache: the
+   build quantifies cluster-local inputs out of their cluster, and a
+   refinement can make such an input shared or promote a pseudo-input
+   to a register. A collection between build and post must keep the
+   quantified copies alive. *)
+let image_matches_unscheduled =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"post = unscheduled image across refinements"
+       QCheck.(
+         triple
+           (Helpers.arbitrary_circuit ~nins:3 ~nregs:5 ~ngates:14)
+           (int_bound 2) small_nat)
+       (fun (rc, size, pick) ->
+         let cluster_size = [| 1; 8; 5000 |].(size) in
+         let cache = Image.cache () in
+         let rec go abs vm k =
+           post_agrees ~cluster_size ~cache vm
+           && (k = 0
+              ||
+              match Abstraction.pseudo_inputs abs with
+              | [] -> true
+              | ps ->
+                let p = List.nth ps (pick mod List.length ps) in
+                let abs, d = Abstraction.refine_delta abs ~add:[ p ] in
+                go abs (Varmap.grow vm ~view:abs.Abstraction.view d) (k - 1))
+         in
+         let a0 =
+           Abstraction.initial rc.Helpers.circuit ~roots:[ rc.Helpers.out ]
+         in
+         go a0 (Varmap.make a0.Abstraction.view) 3))
+
+(* r1' = (a xor r2) and r1, r2' = a and r3, r3' = not r3. With r1
+   alone in the model, [a] and the pseudo-input r2 are read by r1's
+   cluster only, and quantifying them leaves r1' -> r1, not a
+   constant. *)
+let local_input_design () =
+  let module B = Circuit.Builder in
+  let b = B.create () in
+  let a = B.input b "a" in
+  let r1 = B.reg b "r1" and r2 = B.reg b "r2" and r3 = B.reg b "r3" in
+  B.connect b r1 (B.and2 b (B.xor2 b a r2) r1);
+  B.connect b r2 (B.and2 b a r3);
+  B.connect b r3 (B.not_ b r3);
+  B.output b "out" r1;
+  (B.finalize b, a, r1, r2)
+
+(* The two refinements the quantified copies must survive, by
+   construction: [a] is read only by r1's cluster until r2 joins the
+   model, and r2 is a pseudo-input (an [Inp] variable, local to r1's
+   cluster) until it is promoted to a register. One cluster per
+   register. *)
+let test_local_input_refinements () =
+  let c, a, r1, r2 = local_input_design () in
+  let cache = Image.cache () in
+  let check_step label vm =
+    Alcotest.(check bool) (label ^ ": post = unscheduled") true
+      (post_agrees ~cluster_size:1 ~cache vm);
+    let man = Varmap.man vm in
+    let reading v bdds =
+      List.length (List.filter (fun f -> List.mem v (Bdd.support man f)) bdds)
+    in
+    let quantified =
+      match cache.Image.quantified with
+      | Some (m, qs) when m == man -> Array.to_list qs
+      | _ -> Alcotest.fail (label ^ ": copies not tagged with the manager")
+    in
+    fun v ->
+      (reading v (Array.to_list cache.Image.clusters), reading v quantified)
+  in
+  let a0 = Abstraction.initial c ~roots:[ r1 ] in
+  let vm = Varmap.make a0.Abstraction.view in
+  let va = Varmap.inp_var vm a and v2 = Varmap.inp_var vm r2 in
+  let reads = check_step "initial" vm in
+  Alcotest.(check (pair int int)) "a is local to r1's cluster" (1, 0)
+    (reads va);
+  Alcotest.(check (pair int int)) "pseudo-input r2 is local" (1, 0) (reads v2);
+  let a1, d = Abstraction.refine_delta a0 ~add:[ r2 ] in
+  let vm = Varmap.grow vm ~view:a1.Abstraction.view d in
+  Alcotest.(check bool) "r2 is promoted in place" true
+    (Varmap.role vm v2 = Varmap.Cur r2);
+  let reads = check_step "refined" vm in
+  Alcotest.(check (pair int int)) "a is shared, kept in the schedule" (2, 2)
+    (reads va);
+  Alcotest.(check (pair int int)) "promoted r2 is kept in the schedule" (1, 1)
+    (reads v2)
+
+(* The quantified copies are released in the manager that protected
+   them: by [clear_cache], and by the next build even when the caller
+   has moved the cache to another manager meanwhile (a reordering
+   hand-off translates the clusters and leaves the copies). *)
+let test_copies_released_in_their_manager () =
+  let c, _, r1, _ = local_input_design () in
+  let a0 = Abstraction.initial c ~roots:[ r1 ] in
+  let protected = Helpers.protected_handles in
+  let minus l drop =
+    List.fold_left
+      (fun l f ->
+        let rec remove = function
+          | [] -> []
+          | x :: rest -> if x = f then rest else x :: remove rest
+        in
+        remove l)
+      l (Helpers.handles drop)
+  in
+  let copies man cache =
+    match cache.Image.quantified with
+    | Some (m, qs) when m == man -> Array.to_list qs
+    | _ -> Alcotest.fail "copies not tagged with the building manager"
+  in
+  let build vm cache =
+    let fn = Symbolic.functions vm in
+    ignore (Image.build ~cluster_size:1 ~fn ~cache vm)
+  in
+  (* clear_cache *)
+  let vm = Varmap.make a0.Abstraction.view in
+  let man = Varmap.man vm in
+  let cache = Image.cache () in
+  build vm cache;
+  let held = protected man and qs = copies man cache in
+  Alcotest.(check bool) "a copy differs from its cluster" true
+    (qs <> Array.to_list cache.Image.clusters);
+  Image.clear_cache cache;
+  Alcotest.(check (list int)) "clear_cache releases exactly the copies"
+    (minus held qs) (protected man);
+  (* a build after a manager switch *)
+  let vm1 = Varmap.make a0.Abstraction.view in
+  let m1 = Varmap.man vm1 in
+  let cache = Image.cache () in
+  build vm1 cache;
+  let held1 = protected m1 and qs1 = copies m1 cache in
+  let vm2 = Varmap.replica vm1 in
+  let m2 = Varmap.man vm2 in
+  let fn2 = Symbolic.functions vm2 in
+  ignore (fn2 r1);
+  let cones2 = protected m2 in
+  (* the caller takes its clusters along; here it rebuilds them *)
+  Array.iter (Bdd.unprotect m1) cache.Image.clusters;
+  let clusters1 = Array.to_list cache.Image.clusters in
+  cache.Image.entries <- [||];
+  cache.Image.clusters <- [||];
+  ignore (Image.build ~cluster_size:1 ~fn:fn2 ~cache vm2);
+  Alcotest.(check (list int)) "old manager: the copies are released there"
+    (minus (minus held1 clusters1) qs1)
+    (protected m1);
+  let fresh = Array.to_list cache.Image.clusters @ copies m2 cache in
+  Alcotest.(check (list int)) "new manager: cones, clusters and copies"
+    (List.sort compare (cones2 @ Helpers.handles fresh))
+    (protected m2)
+
 (* Pre-image by compose: x is in pre(T) iff some input leads x to T. *)
 let preimage_agrees =
   QCheck_alcotest.to_alcotest
@@ -382,6 +544,11 @@ let tests =
     Alcotest.test_case "add_input_vars" `Quick test_add_input_vars;
     cones_agree;
     image_agrees;
+    image_matches_unscheduled;
+    Alcotest.test_case "local inputs made shared or promoted" `Quick
+      test_local_input_refinements;
+    Alcotest.test_case "copies released in their manager" `Quick
+      test_copies_released_in_their_manager;
     preimage_agrees;
     reach_agrees;
     rings_partition;

@@ -453,6 +453,102 @@ let test_coverage_emits_provenance () =
   Alcotest.(check bool) "a capped run is no failure" true
     (report.Rfn_core.Coverage.failure = None)
 
+(* The closing line of a story names a verdict only when the last
+   record holds one. *)
+let story records =
+  let lines =
+    Format.asprintf "%a" Provenance.pp_story records
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  List.nth lines (List.length lines - 1)
+
+let test_story_closing_line () =
+  let r outcome = { Helpers.sample_provenance with Provenance.outcome } in
+  let starts prefix l = String.starts_with ~prefix l in
+  List.iter
+    (fun outcome ->
+      Alcotest.(check bool) (outcome ^ " is a verdict") true
+        (starts "verdict after 2 iterations"
+           (story [ r "refined"; r outcome ])))
+    [ "proved"; "falsified"; "aborted:time" ];
+  List.iter
+    (fun outcome ->
+      let l = story [ r "refined"; r outcome ] in
+      Alcotest.(check bool) (outcome ^ " is not a verdict") true
+        (starts "stopped after 2 iterations" l
+        && String.ends_with
+             ~suffix:("without a verdict; last iteration: " ^ outcome)
+             l))
+    [ "refined"; "marked" ]
+
+(* `rfn coverage examples/fifo.bench head_0 head_1 head_2
+   --metrics-out`, in process with the CLI's configuration (injection
+   pinned off). Coverage allocates in a small side manager as well as
+   in the session's; a record's [bdd_nodes] is the session's count, so
+   on an unchanged model it cannot collapse from one iteration to the
+   next. The run decides every state and stops at the top of the loop,
+   with no verdict for the story to print. *)
+let test_fifo_coverage_records () =
+  with_clean_registry @@ fun () ->
+  let file = tmp_file ".jsonl" in
+  Telemetry.attach_jsonl file;
+  let c = Rfn_circuit.Netlist_io.load "../examples/fifo.bench" in
+  let coverage =
+    List.map (Rfn_circuit.Circuit.find c) [ "head_0"; "head_1"; "head_2" ]
+  in
+  let config =
+    {
+      Rfn.default_config with
+      Rfn.max_seconds = Some 60.0;
+      max_iterations = 1_000;
+      inject = Some (fun _ -> None);
+    }
+  in
+  let report = Rfn_core.Coverage.rfn_analysis ~config c ~coverage in
+  Telemetry.detach ();
+  let records =
+    List.filter_map
+      (fun l ->
+        let j = Json.of_string l in
+        match Json.member "ev" j with
+        | Some (Json.Str "rfn.iteration") -> (
+          match Provenance.of_json j with
+          | Ok p -> Some p
+          | Error f -> Alcotest.fail ("unparseable rfn.iteration: " ^ f))
+        | _ -> None)
+      (read_lines file)
+  in
+  Sys.remove file;
+  Alcotest.(check int) "every state decided" 0
+    report.Rfn_core.Coverage.unknown;
+  (* an iteration after one that promoted nothing runs on the same
+     model: its count may grow or be collected down a little, but it
+     cannot fall to a fraction of what the session held before *)
+  let _, _, checked =
+    List.fold_left
+      (fun (prev, most, checked) p ->
+        let checked =
+          match prev with
+          | Some q when q.Provenance.promoted = [] ->
+            if 2 * p.Provenance.bdd_nodes < most then
+              Alcotest.failf
+                "iteration %d: bdd %d live on an unchanged model that held %d"
+                p.Provenance.iter p.Provenance.bdd_nodes most;
+            checked + 1
+          | _ -> checked
+        in
+        (Some p, max most p.Provenance.bdd_nodes, checked))
+      (None, 0, 0) records
+  in
+  Alcotest.(check bool) "some iterations keep the model" true (checked > 0);
+  let closing = story records in
+  Alcotest.(check bool) ("no verdict to print: " ^ closing) true
+    (String.starts_with
+       ~prefix:
+         (Printf.sprintf "stopped after %d iterations" (List.length records))
+       closing)
+
 let tests =
   [
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
@@ -476,6 +572,10 @@ let tests =
       test_verify_emits_provenance;
     Alcotest.test_case "coverage streams one record per iteration" `Quick
       test_coverage_emits_provenance;
+    Alcotest.test_case "story closes with a verdict only on one" `Quick
+      test_story_closing_line;
+    Alcotest.test_case "fifo coverage records the session's nodes" `Quick
+      test_fifo_coverage_records;
   ]
 
 let () = Alcotest.run "obs" [ ("obs", tests) ]

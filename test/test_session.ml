@@ -260,6 +260,90 @@ let test_blowup_policy_recovers () =
     (Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
     > rebuilds0)
 
+(* Right after a prepare, the session's manager protects exactly its
+   cones, its clusters and the quantified copies (tagged with that
+   manager), and the image equals the unscheduled one even after a
+   collection between build and post. *)
+let check_prepared label s =
+  let p = Session.prepare s in
+  let vm = p.Session.vm in
+  let man = Varmap.man vm in
+  let cache = Session.cache s in
+  let copies =
+    match cache.Rfn_mc.Image.quantified with
+    | Some (m, qs) when m == man -> Array.to_list qs
+    | Some _ -> Alcotest.fail (label ^ ": copies tagged with another manager")
+    | None -> Alcotest.fail (label ^ ": no quantified copies")
+  in
+  let owned =
+    List.map p.Session.fn (Session.cone_signals s)
+    @ Array.to_list cache.Rfn_mc.Image.clusters
+    @ copies
+  in
+  Alcotest.(check (list int))
+    (label ^ ": protected set = cones + clusters + copies")
+    (Helpers.handles owned)
+    (Helpers.protected_handles man);
+  let sources = Helpers.image_sources vm in
+  let expected =
+    List.map (Helpers.unscheduled_post vm ~fn:p.Session.fn) sources
+  in
+  Bdd.gc man ~roots:(sources @ expected);
+  List.iter2
+    (fun q e ->
+      Alcotest.(check bool) (label ^ ": post = unscheduled") true
+        (Bdd.equal (Rfn_mc.Image.post p.Session.img q) e))
+    sources expected
+
+(* The quantified copies through every session path that moves or
+   drops handles: a refinement that promotes a pseudo-input, a
+   retarget, a reset, and a blow-up that sifts and rebuilds. *)
+let test_quantified_copies_follow_the_manager () =
+  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
+  let c = fifo.Rfn_designs.Fifo.circuit in
+  let hf = Property.roots fifo.Rfn_designs.Fifo.psh_hf
+  and full = Property.roots fifo.Rfn_designs.Fifo.psh_full in
+  let refine_once label s =
+    match Abstraction.pseudo_inputs (Session.abstraction s) with
+    | [] -> Alcotest.fail (label ^ ": no pseudo-input to promote")
+    | p :: _ ->
+      let d = Session.refine s ~add:[ p ] in
+      Alcotest.(check (list int)) (label ^ ": promoted") [ p ]
+        d.Abstraction.promoted;
+      check_prepared label s
+  in
+  let s = Session.create c ~roots:hf in
+  check_prepared "fresh" s;
+  refine_once "promoted" s;
+  let { Session.fn; vm; _ } = Session.prepare s in
+  Session.retarget s ~roots:full;
+  (* before the next prepare collects: only the carried cones stay *)
+  Alcotest.(check (list int)) "retargeted: only the carried cones protected"
+    (Helpers.handles (List.map fn (Session.cone_signals s)))
+    (Helpers.protected_handles (Varmap.man vm));
+  check_prepared "retargeted" s;
+  refine_once "retargeted, promoted" s;
+  Session.reset s;
+  check_prepared "reset" s;
+  let rebuilds () =
+    Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
+  in
+  let rebuilds0 = rebuilds () in
+  let s =
+    Session.create
+      ~policy:
+        {
+          Session.default_policy with
+          Session.grow_blowup = 0.01;
+          min_nodes = 1;
+        }
+      c ~roots:hf
+  in
+  check_prepared "blow-up policy, fresh" s;
+  refine_once "sifted and rebuilt" s;
+  Alcotest.(check bool) "the blow-up rebuilt the manager" true
+    (rebuilds () > rebuilds0)
+
 (* ------------------------------------------------------------------ *)
 (* Failure-surfacing regressions                                       *)
 (* ------------------------------------------------------------------ *)
@@ -334,6 +418,8 @@ let tests =
       test_session_counters;
     Alcotest.test_case "blow-up policy recovers the verdict" `Quick
       test_blowup_policy_recovers;
+    Alcotest.test_case "quantified copies follow the manager" `Quick
+      test_quantified_copies_follow_the_manager;
     Alcotest.test_case "bfs_analysis surfaces engine failures" `Quick
       test_bfs_failure_surfaced;
     Alcotest.test_case "clean bfs_analysis reports no failure" `Quick
