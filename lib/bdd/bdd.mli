@@ -8,9 +8,8 @@
 
     Variable indices coincide with levels: variable [i] is tested above
     variable [j] iff [i < j]. Choosing a good order is the caller's
-    job ({!Force} computes one from circuit structure); "dynamic
-    reordering" is provided as a rebuild into a fresh manager
-    ({!rebuild}).
+    job ({!Force} computes one from circuit structure); there is no
+    dynamic reordering: a better order means a fresh manager.
 
     Managers enforce a node budget: operations raise {!Limit_exceeded}
     once the number of live nodes exceeds it, which is how engines
@@ -145,8 +144,7 @@ val eval : man -> t -> (int -> bool) -> bool
 
 val rebuild : src:man -> dst:man -> map:(int -> int) -> t -> t
 (** Translate a BDD into another manager, applying a variable map (the
-    new order need not be compatible with the old one). Used to
-    implement reordering-by-rebuild. *)
+    new order need not be compatible with the old one). *)
 
 val subset_heavy : man -> max_size:int -> t -> t
 (** Heavy-branch under-approximation (Ravi–Somenzi style BDD

@@ -1,6 +1,5 @@
 open Rfn_circuit
 module Bdd = Rfn_bdd.Bdd
-module Reorder = Rfn_bdd.Reorder
 module Varmap = Rfn_mc.Varmap
 module Symbolic = Rfn_mc.Symbolic
 module Image = Rfn_mc.Image
@@ -15,7 +14,6 @@ let c_cones_recompiled = Telemetry.counter "session.cones_recompiled"
 let c_clusters_reused = Telemetry.counter "session.clusters_reused"
 let c_clusters_rebuilt = Telemetry.counter "session.clusters_rebuilt"
 let c_grow_in_place = Telemetry.counter "session.grow_in_place"
-let c_grow_sifted = Telemetry.counter "session.grow_sifted"
 let c_grow_rebuilds = Telemetry.counter "session.grow_rebuilds"
 let c_resets = Telemetry.counter "session.resets"
 let c_retargets = Telemetry.counter "session.retargets"
@@ -193,47 +191,6 @@ let rebuild t =
   Image.clear_cache t.cache;
   compile t vm
 
-(* Rebuild the session's protected structures in the manager produced
-   by a reordering pass: [roots'] are the translations of
-   [memo values @ clusters] in that order, [map] the variable
-   permutation. The new manager starts with an empty protected set, so
-   every carried handle is re-protected. *)
-let translate_root tr ~what f =
-  match Hashtbl.find_opt tr f with
-  | Some f' -> f'
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Session.adopt_sifted: %s missing from the sift translation" what)
-
-let adopt_sifted t vm ~man' ~old_roots ~roots' ~map =
-  let tr = Hashtbl.create 997 in
-  List.iter2 (fun o n -> Hashtbl.replace tr o n) old_roots roots';
-  let memo' = Hashtbl.create (Hashtbl.length t.memo) in
-  Hashtbl.iter
-    (fun s f ->
-      let what =
-        Printf.sprintf "cone of signal %d (%S)" s (Circuit.name (circuit t) s)
-      in
-      Hashtbl.replace memo' s (Bdd.protect man' (translate_root tr ~what f)))
-    t.memo;
-  t.memo <- memo';
-  t.cache.Image.entries <-
-    Array.mapi
-      (fun i (r, v, f) ->
-        let what = Printf.sprintf "relation entry %d" i in
-        (r, map v, translate_root tr ~what f))
-      t.cache.Image.entries;
-  t.cache.Image.clusters <-
-    Array.mapi
-      (fun i c ->
-        let what = Printf.sprintf "transition cluster %d" i in
-        Bdd.protect man' (translate_root tr ~what c))
-      t.cache.Image.clusters;
-  let vm' = Varmap.remap vm ~man:man' ~map in
-  t.vm <- Some vm';
-  vm'
-
 let prepare t =
   match t.prepared with
   | Some p -> p
@@ -260,39 +217,15 @@ let prepare t =
           p
         end
         else begin
-          (* Appending variables at the bottom of the order hurt: try
-             to recover by sifting, and if the sifted size is still
-             past the threshold give up on the carried order entirely
-             and rebuild under a fresh FORCE order seeded by it. *)
+          (* Appending variables at the bottom of the order hurt: give
+             up on the carried manager and rebuild under a fresh FORCE
+             order seeded by the grown one. *)
+          Telemetry.incr c_grow_rebuilds;
           Log.info (fun m ->
-              m "grow blow-up: %d nodes > threshold %d; sifting"
+              m "grow blow-up: %d nodes > threshold %d; rebuilding"
                 (Bdd.num_nodes man) threshold);
-          let old_roots =
-            Hashtbl.fold (fun _ f acc -> f :: acc) t.memo []
-            @ Array.to_list t.cache.Image.clusters
-          in
-          let man', roots', map =
-            Reorder.sift ~max_passes:t.policy.sift_passes man ~roots:old_roots
-          in
-          let p =
-            if man' == man then p
-            else begin
-              let vm' = adopt_sifted t vm ~man' ~old_roots ~roots' ~map in
-              compile t vm'
-            end
-          in
-          if Bdd.num_nodes (Varmap.man p.vm) <= threshold then begin
-            Telemetry.incr c_grow_sifted;
-            p
-          end
-          else begin
-            Telemetry.incr c_grow_rebuilds;
-            Log.info (fun m ->
-                m "sifting left %d nodes; rebuilding with a fresh order"
-                  (Bdd.num_nodes (Varmap.man p.vm)));
-            t.seed <- Some p.vm;
-            rebuild t
-          end
+          t.seed <- Some p.vm;
+          rebuild t
         end
     in
     t.baseline_nodes <- Bdd.num_nodes (Varmap.man p.vm);

@@ -23,14 +23,15 @@
     Appending variables at the bottom of the order degrades it, so
     {!prepare} applies a grow-vs-rebuild policy: accept the grown
     manager while its (post-GC) node count stays within
-    [grow_blowup × baseline]; past that, sift
-    ({!Rfn_bdd.Reorder.sift}); if sifting cannot recover, rebuild from
-    scratch under a fresh FORCE order seeded by the carried one.
+    [grow_blowup × baseline]; past that, rebuild from scratch under a
+    fresh FORCE order seeded by the carried one — the paper's "the
+    variable order is saved and reused as the next iteration's
+    initial order".
 
     Everything observable is counted under [session.*] telemetry
     names: [cones_reused]/[cones_recompiled],
     [clusters_reused]/[clusters_rebuilt],
-    [grow_in_place]/[grow_sifted]/[grow_rebuilds], [resets], and the
+    [grow_in_place]/[grow_rebuilds], [resets], and the
     [nodes_carried] gauge. *)
 
 type policy = {
@@ -46,7 +47,12 @@ type policy = {
           iteration's baseline *)
   min_nodes : int;
       (** blow-up checks only start past this absolute node count *)
-  sift_passes : int;  (** [max_passes] for the recovery sifting *)
+  sift_passes : int;
+      (** ignored: nothing reads it, since a blow-up goes straight to
+          the seeded rebuild. The field remains only because the
+          benchmark harness (rfnbench/harness.ml) still sets it; it
+          goes together with [Rfn.config.proc] when a benchmark change
+          drops both there (ROADMAP, "Benchmark hygiene"). *)
 }
 
 val default_policy : policy
@@ -90,18 +96,6 @@ val analysis : t -> Rfn_analysis.Analysis.t option
     across retargets. *)
 
 val set_analysis : t -> Rfn_analysis.Analysis.t -> unit
-
-val translate_root :
-  (Rfn_bdd.Bdd.t, Rfn_bdd.Bdd.t) Hashtbl.t ->
-  what:string ->
-  Rfn_bdd.Bdd.t ->
-  Rfn_bdd.Bdd.t
-(** Total lookup used when adopting a reordered manager: the
-    translation table maps every root handed to
-    {!Rfn_bdd.Reorder.sift}; a miss — impossible unless the reorderer
-    broke its contract — raises [Invalid_argument] naming the
-    structure ([what]) instead of escaping as a bare [Not_found].
-    Exposed for the regression suite. *)
 
 val cone_signals : t -> int list
 (** Signals holding a compiled cone in the session memo (the

@@ -29,8 +29,7 @@ val varmap : Rfn_mc.Varmap.t -> Lint.finding list
     carries current- and next-state variables, every free input an
     input variable; every variable is within the manager's range; no
     two roles share a variable; the [role] table round-trips each
-    allocation. Catches stale indices after {!Rfn_mc.Varmap.grow} or a
-    bad {!Rfn_mc.Varmap.remap}. *)
+    allocation. Catches stale indices after {!Rfn_mc.Varmap.grow}. *)
 
 val cone_cache : Rfn_mc.Varmap.t -> signals:int list -> Lint.finding list
 (** Session cone-cache consistency: [signals] (the memo's keys) must be

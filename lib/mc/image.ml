@@ -59,8 +59,8 @@ let build ?(cluster_size = 5000) ~fn ~cache vm =
      prefix of the new one — same register, same next-state variable,
      same cone (handle equality is sound under hash-consing within one
      manager). Growth only appends, so this holds across refinements;
-     any other change (reset, sifting hand-off the caller did not
-     translate) invalidates the whole cache. *)
+     any other change (a retarget, or a caller that switched managers
+     without clearing the cache) invalidates the whole cache. *)
   let old = cache.entries in
   let prefix_ok =
     Array.length old <= Array.length entries

@@ -29,7 +29,8 @@ type cache = {
 }
 (** Compiled-relation cache carried across refinement iterations by a
     verification session. [entries] and [clusters] are exposed so the
-    session layer can translate handles after a reordering hand-off. *)
+    session layer can unprotect the clusters it drops on a retarget,
+    and tests can inspect both. *)
 
 type build_stats = { clusters_reused : int; clusters_rebuilt : int }
 

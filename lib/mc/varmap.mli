@@ -35,7 +35,8 @@ val grow : t -> view:Rfn_circuit.Sview.t -> Rfn_circuit.Abstraction.delta -> t
     argument must not be used afterwards; use the returned map (which
     carries the new [view]). Appended variables degrade the interleaved
     order quality — the session layer measures the node count and falls
-    back to sifting or a fresh FORCE rebuild when growth blows up. *)
+    back to a fresh FORCE rebuild, seeded with the grown order, when
+    growth blows up. *)
 
 val rebase : t -> view:Rfn_circuit.Sview.t -> t
 (** Retarget the varmap to a {e different} view of the same circuit —
@@ -62,10 +63,10 @@ val replica : ?node_limit:int -> t -> t
     reference mode of the session layer: same order, no reuse. *)
 
 val remap : t -> man:Rfn_bdd.Bdd.man -> map:(int -> int) -> t
-(** Re-express the varmap over another manager whose variables are a
-    permutation of this one's ([map old_var = new_level], total on the
-    variable range) — the hand-off from [Rfn_bdd.Reorder.sift], which
-    rebuilds live BDDs into a fresh manager under a better order. *)
+(** The varmap with every variable [v] renamed to [map v], over [man].
+    Nothing checks the result: a map that leaves the manager's range,
+    or sends two variables to one, gives a varmap no other function
+    can build, which is how the invariant checker's tests make one. *)
 
 val man : t -> Rfn_bdd.Bdd.man
 val view : t -> Rfn_circuit.Sview.t

@@ -301,9 +301,23 @@ let test_varmap_clean () =
   Alcotest.(check int) "no findings" 0 (List.length (Check.varmap vm))
 
 let test_varmap_corrupted () =
-  let _, _, vm = whole_vm () in
+  (* a stale varmap: [grow] re-rolls a promoted pseudo-input's input
+     variable as its current-state variable in the shared tables, so
+     the pre-refinement map no longer carries that free input's role *)
+  let c = Helpers.counter_design ~width:3 ~limit:7 in
+  let a0 = Abstraction.initial c ~roots:[ Circuit.output c "at_limit" ] in
+  let stale = Varmap.make a0.Abstraction.view in
+  let p =
+    match Abstraction.pseudo_inputs a0 with
+    | p :: _ -> p
+    | [] -> Alcotest.fail "the counter's initial abstraction has no pseudo-input"
+  in
+  let a1, delta = Abstraction.refine_delta a0 ~add:[ p ] in
+  ignore (Varmap.grow stale ~view:a1.Abstraction.view delta);
+  Alcotest.(check int) "stale map caught" 1 (List.length (Check.varmap stale));
   (* collapse every variable onto level 0: duplicate roles and a role
      table that no longer round-trips *)
+  let _, _, vm = whole_vm () in
   let collapsed = Varmap.remap vm ~man:(Varmap.man vm) ~map:(fun _ -> 0) in
   Alcotest.(check bool)
     "collapsed map caught" true
@@ -317,7 +331,7 @@ let test_varmap_corrupted () =
       (Rfn_obs.Telemetry.counter "check.invariant_failures")
   in
   (try
-     Check.ensure ~what:"test" (Check.varmap collapsed);
+     Check.ensure ~what:"test" (Check.varmap stale);
      Alcotest.fail "expected Violation"
    with Check.Violation (what, findings) ->
      Alcotest.(check string) "what" "test" what;

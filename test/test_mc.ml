@@ -296,8 +296,8 @@ let test_local_input_refinements () =
 
 (* The quantified copies are released in the manager that protected
    them: by [clear_cache], and by the next build even when the caller
-   has moved the cache to another manager meanwhile (a reordering
-   hand-off translates the clusters and leaves the copies). *)
+   has moved the cache to another manager meanwhile without clearing
+   it (it takes its clusters along and leaves the copies). *)
 let test_copies_released_in_their_manager () =
   let c, _, r1, _ = local_input_design () in
   let a0 = Abstraction.initial c ~roots:[ r1 ] in

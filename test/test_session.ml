@@ -233,12 +233,13 @@ let test_session_counters () =
     (v "session.grow_in_place" > grow0)
 
 let test_blowup_policy_recovers () =
-  (* An absurdly tight blow-up threshold forces the sift-then-rebuild
-     path on every refinement; the verdict must survive it. *)
-  let rebuilds0 =
+  (* An absurdly tight blow-up threshold sends every refinement to the
+     seeded FORCE rebuild; on every design of the zoo the verdict and
+     the counterexample length must match the default policy's. *)
+  let rebuilds () =
     Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
   in
-  let cfg =
+  let forced =
     {
       (config ~reuse:true ()) with
       Rfn.session =
@@ -249,16 +250,24 @@ let test_blowup_policy_recovers () =
         };
     }
   in
-  let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
-  (match
-     Rfn.verify ~config:cfg fifo.Rfn_designs.Fifo.circuit
-       fifo.Rfn_designs.Fifo.psh_hf
-   with
-  | Rfn.Proved, _ -> ()
-  | _ -> Alcotest.fail "fifo psh_hf should be proved under forced rebuilds");
-  Alcotest.(check bool) "threshold forced rebuilds" true
-    (Telemetry.counter_value (Telemetry.counter "session.grow_rebuilds")
-    > rebuilds0)
+  let show = function
+    | Rfn.Proved -> "proved"
+    | Rfn.Falsified t -> Printf.sprintf "falsified at length %d" (Trace.length t)
+    | Rfn.Aborted f -> "aborted: " ^ F.to_string f
+  in
+  List.iter
+    (fun (name, c, prop) ->
+      let expected, _ = Rfn.verify ~config:(config ~reuse:true ()) c prop in
+      let rebuilds0 = rebuilds () in
+      let got, _ = Rfn.verify ~config:forced c prop in
+      Alcotest.(check string)
+        (name ^ ": verdict under forced rebuilds")
+        (show expected) (show got);
+      Alcotest.(check bool)
+        (name ^ ": the threshold forced rebuilds")
+        true
+        (rebuilds () > rebuilds0))
+    (Helpers.zoo ())
 
 (* Right after a prepare, the session's manager protects exactly its
    cones, its clusters and the quantified copies (tagged with that
@@ -297,7 +306,7 @@ let check_prepared label s =
 
 (* The quantified copies through every session path that moves or
    drops handles: a refinement that promotes a pseudo-input, a
-   retarget, a reset, and a blow-up that sifts and rebuilds. *)
+   retarget, a reset, and a blow-up that forces a rebuild. *)
 let test_quantified_copies_follow_the_manager () =
   let fifo = Rfn_designs.Fifo.(make ~params:small ()) in
   let c = fifo.Rfn_designs.Fifo.circuit in
@@ -340,7 +349,7 @@ let test_quantified_copies_follow_the_manager () =
       c ~roots:hf
   in
   check_prepared "blow-up policy, fresh" s;
-  refine_once "sifted and rebuilt" s;
+  refine_once "forced rebuild" s;
   Alcotest.(check bool) "the blow-up rebuilt the manager" true
     (rebuilds () > rebuilds0)
 
@@ -382,24 +391,6 @@ let test_check_coi_node_exhaustion () =
   | (`Proved | `Reached _), _ ->
     Alcotest.fail "a 4-node budget cannot model-check the counter"
 
-(* A root missing from the sift translation table must raise an
-   [Invalid_argument] naming the structure (a bare [Hashtbl.find] here
-   used to escape as an anonymous [Not_found]). *)
-let test_translate_root_message () =
-  let man = Bdd.create ~nvars:2 () in
-  let v0 = Bdd.var man 0 and v1 = Bdd.var man 1 in
-  let tr = Hashtbl.create 7 in
-  Hashtbl.replace tr v0 v1;
-  Alcotest.(check bool) "a mapped root translates" true
-    (Session.translate_root tr ~what:"cone cache" v0 == v1);
-  try
-    ignore (Session.translate_root tr ~what:"cone cache" v1);
-    Alcotest.fail "a missing root must raise"
-  with Invalid_argument msg ->
-    Alcotest.(check string) "missing root names the structure"
-      "Session.adopt_sifted: cone cache missing from the sift translation"
-      msg
-
 let tests =
   [
     Alcotest.test_case "incremental vs from-scratch on the zoo" `Quick
@@ -426,8 +417,6 @@ let tests =
       test_bfs_success_has_no_failure;
     Alcotest.test_case "check_coi maps node exhaustion" `Quick
       test_check_coi_node_exhaustion;
-    Alcotest.test_case "translate_root names the structure" `Quick
-      test_translate_root_message;
   ]
 
 let () = Alcotest.run "session" [ ("session", tests) ]
